@@ -146,13 +146,28 @@ def cmd_chi(args) -> int:
 
 def _load_pool(args, state) -> e8.CandidatePool:
     if args.pool_file:
+        # Same point rules as the verifier, so augment cannot write a
+        # certificate that verify rejects.
         points = []
+        seen = set()
         text = Path(args.pool_file).read_text(encoding="ascii")
         for line_no, raw in enumerate(text.splitlines(), start=1):
             parts = raw.split()
             if not parts:
                 continue
-            points.append(tuple(int(x) for x in parts))
+            try:
+                x = tuple(int(c) for c in parts)
+            except ValueError:
+                raise formats.FormatError(
+                    f"pool point {raw.strip()!r} has a non-integer coordinate",
+                    line=line_no) from None
+            violation = e8.point_violation(x)
+            if violation is not None:
+                raise formats.FormatError(f"pool point {violation[1]}", line=line_no)
+            if x in seen:
+                raise formats.FormatError(f"pool point {x} listed twice", line=line_no)
+            seen.add(x)
+            points.append(x)
         return e8.CandidatePool(tuple(points), e8.BALL_SQ_RADIUS, order="file")
     pool = e8.enumerate_ball()
     if args.order == "lex":

@@ -298,6 +298,20 @@ def shipped_certificate() -> Certificate:
     return parse_certificate(text)
 
 
+def point_violation(x: Vec) -> tuple[str, str] | None:
+    """The certificate condition a single point breaks, as (condition, detail).
+
+    A certificate or candidate point (already parsed as integers) must have
+    8 coordinates and lie inside the ball of squared radius BALL_SQ_RADIUS;
+    None when x does.
+    """
+    if len(x) != 8:
+        return ("bad-point", f"{x} is not an 8-vector")
+    if sum(c * c for c in x) > BALL_SQ_RADIUS:
+        return ("outside-ball", f"{x} has squared norm > {BALL_SQ_RADIUS}")
+    return None
+
+
 def verify_certificate(cert: Certificate,
                        options: SolveOptions | None = None) -> BoundReport:
     """Recompute every claim of a certificate from first principles.
@@ -324,11 +338,9 @@ def verify_certificate(cert: Certificate,
     base_points = set(base_cloud.points)
     seen: set[Vec] = set()
     for x in cert.points:
-        if len(x) != 8:
-            raise CertificateError("bad-point", f"{x} is not an 8-vector")
-        if sum(c * c for c in x) > BALL_SQ_RADIUS:
-            raise CertificateError(
-                "outside-ball", f"{x} has squared norm > {BALL_SQ_RADIUS}")
+        violation = point_violation(x)
+        if violation is not None:
+            raise CertificateError(*violation)
         if x in base_points:
             raise CertificateError("duplicate-vertex", f"{x} is already a base vertex")
         if x in seen:

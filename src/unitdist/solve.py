@@ -8,6 +8,15 @@ class. Chromatic numbers are bracketed between max(clique bound, ceil(n/alpha))
 and a DSATUR coloring, then closed with a complete k-colorability search that
 forces the first occurrence of each new color.
 
+DSATUR is written once, over bit masks, and serves both the greedy bound and
+the k-colorability search: forb[c] holds the vertices with a neighbor of color
+c, and bucket[s] the uncolored vertices with exactly s distinct neighbor
+colors (their saturation). The next vertex is the lowest-index vertex of the
+top non-empty bucket within the highest degree level that meets it; coloring
+a vertex moves the neighbors that newly see its color up one bucket with one
+mask operation per bucket, so neither selection nor propagation visits
+vertices one by one.
+
 Tie-breaking is everywhere by lowest vertex index, so single-threaded runs are
 bit-reproducible. With several worker threads the branch tree is split at the
 root into independent subproblems sharing only the monotone best-so-far value;
@@ -540,66 +549,102 @@ def clique_lower_bound(g: Graph, tries: int | None = None) -> int:
     return best
 
 
+def _degree_levels(adj, n: int) -> list[int]:
+    """Vertex masks grouped by degree, highest degree first."""
+    by_degree: dict[int, int] = {}
+    for v in range(n):
+        d = adj[v].bit_count()
+        by_degree[d] = by_degree.get(d, 0) | (1 << v)
+    return [by_degree[d] for d in sorted(by_degree, reverse=True)]
+
+
+def _dsatur_select(bucket: list[int], levels: list[int]) -> tuple[int, int]:
+    """DSATUR choice: max saturation, tie max degree, tie lowest index.
+
+    bucket[s] holds the uncolored vertices with exactly s forbidden colors (at
+    least one bucket is non-empty); levels are the degree masks of
+    _degree_levels. Returns (vertex, its saturation).
+    """
+    s = len(bucket) - 1
+    while not bucket[s]:
+        s -= 1
+    top = bucket[s]
+    for level in levels:
+        pick = top & level
+        if pick:
+            return (pick & -pick).bit_length() - 1, s
+
+
+def _raise_saturation(bucket: list[int], newly: int) -> None:
+    """Move every vertex of `newly` up one saturation bucket.
+
+    Top-down, so a moved vertex is not moved again. The caller guarantees no
+    vertex of `newly` sits in the top bucket.
+    """
+    for s in range(len(bucket) - 2, -1, -1):
+        moved = bucket[s] & newly
+        if moved:
+            bucket[s] ^= moved
+            bucket[s + 1] |= moved
+
+
 def greedy_coloring_bound(g: Graph, order: str = "dsatur") -> tuple[int, tuple[int, ...]]:
     """Valid coloring by a greedy policy; (color count, coloring with colors 1..k).
 
     Policies: "dsatur" (max saturation, tie max degree, tie lowest index),
-    "degree" (static descending degree), "lex" (vertex index order).
+    "degree" (static descending degree), "lex" (vertex index order). Each
+    vertex takes its lowest color not used by a neighbor.
     """
     n = g.n
     if n == 0:
         return (0, ())
-    colors = [0] * n
     if order == "lex":
-        sequence = list(range(n))
+        sequence = iter(range(n))
     elif order == "degree":
-        sequence = sorted(range(n), key=lambda v: (-g.adj[v].bit_count(), v))
+        sequence = iter(sorted(range(n), key=lambda v: (-g.adj[v].bit_count(), v)))
     elif order == "dsatur":
         sequence = None
+        levels = _degree_levels(g.adj, n)
     else:
         raise ValueError(f"unknown ordering policy {order!r}")
 
-    forbidden = [0] * n
-    if sequence is not None:
-        for v in sequence:
-            c = 0
-            used = forbidden[v]
-            while (used >> c) & 1:
-                c += 1
-            colors[v] = c + 1
-            for w in iter_bits(g.adj[v]):
-                forbidden[w] |= 1 << c
-    else:
-        degs = [g.adj[v].bit_count() for v in range(n)]
-        uncolored = g.full_mask
-        for _ in range(n):
-            best_v = -1
-            best_key = (-1, -1)
-            rest = uncolored
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                v = low.bit_length() - 1
-                key = (forbidden[v].bit_count(), degs[v])
-                if key > best_key:
-                    best_key, best_v = key, v
-            c = 0
-            used = forbidden[best_v]
-            while (used >> c) & 1:
-                c += 1
-            colors[best_v] = c + 1
-            uncolored ^= 1 << best_v
-            for w in iter_bits(g.adj[best_v] & uncolored):
-                forbidden[w] |= 1 << c
-    return (max(colors), tuple(colors))
+    colors = [0] * n
+    forb: list[int] = []        # forb[c]: vertices with a neighbor of color c
+    bucket = [g.full_mask]      # saturation buckets, one more than colors used
+    uncolored = g.full_mask
+    for _ in range(n):
+        if sequence is None:
+            v, s = _dsatur_select(bucket, levels)
+            bucket[s] ^= 1 << v
+        else:
+            v = next(sequence)
+        uncolored ^= 1 << v
+        c = 0
+        while c < len(forb) and (forb[c] >> v) & 1:
+            c += 1
+        if c == len(forb):
+            forb.append(0)
+            bucket.append(0)
+        colors[v] = c + 1
+        newly = g.adj[v] & uncolored & ~forb[c]
+        forb[c] |= newly
+        if sequence is None:
+            _raise_saturation(bucket, newly)
+    return (len(forb), tuple(colors))
 
 
 def k_colorable(g: Graph, k: int, options: SolveOptions | None = None) -> KColorOutcome:
     """Complete k-colorability decision with a witness when colorable.
 
-    Branch and bound with saturation-degree vertex selection; color symmetry
-    is broken by allowing at most one fresh color per vertex, so the first
-    occurrence of each new color is forced.
+    Depth-first search with DSATUR vertex selection over bit masks: forb[c]
+    holds the vertices with a neighbor of color c, and bucket[s] the uncolored
+    vertices with exactly s forbidden colors, so selection reads the top
+    non-empty bucket and coloring v with c raises the bucket of
+    adj[v] & uncolored & ~forb[c] by one. A node is dead when that would push
+    a vertex to k forbidden colors. Color symmetry is broken by allowing at
+    most one fresh color per vertex, so the first occurrence of each new color
+    is forced. The search keeps an explicit stack, so its depth is not bounded
+    by the interpreter's recursion limit.
     """
     opts = options or SolveOptions()
     if k < 1:
@@ -613,62 +658,64 @@ def k_colorable(g: Graph, k: int, options: SolveOptions | None = None) -> KColor
     if any(g.adj[v] for v in range(n)) and k == 1:
         return KColorOutcome("uncolorable", None, 0)
 
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * n + 200))
+    adj = g.adj
+    levels = _degree_levels(adj, n)
     colors = [0] * n
-    forbidden = [0] * n
-    degs = [g.adj[v].bit_count() for v in range(n)]
-    full_c = (1 << k) - 1
+    forb = [0] * k
+    # Saturations 0..k-1 only: a vertex reaching k would make the node dead.
+    bucket = [0] * k
+    bucket[0] = uncolored = g.full_mask
+    top = k - 1
+    max_used = 0
     nodes = 0
     node_limit = opts.node_budget
     deadline = (time.monotonic() + opts.time_budget) if opts.time_budget else None
+    # One frame per colored vertex: [vertex, color tried, color limit,
+    # max_used on entry, buckets before its coloring, vertices it saturated].
+    stack: list[list] = []
 
-    def place(count: int, max_used: int) -> bool:
-        nonlocal nodes
+    while True:
         nodes += 1
         if nodes & 255 == 0:
             if node_limit is not None and nodes > node_limit:
-                raise _Abort
+                return KColorOutcome("unknown", None, nodes)
             if deadline is not None and time.monotonic() > deadline:
-                raise _Abort
-        if count == n:
-            return True
-        # DSATUR selection: max saturation, tie max degree, tie lowest index.
-        v = -1
-        best_key = (-1, -1)
-        for w in range(n):
-            if colors[w] == 0:
-                key = (forbidden[w].bit_count(), degs[w])
-                if key > best_key:
-                    best_key, v = key, w
-        allowed = ~forbidden[v] & ((1 << min(max_used + 1, k)) - 1)
-        while allowed:
-            low = allowed & -allowed
-            allowed ^= low
-            c = low.bit_length() - 1
-            colors[v] = c + 1
-            touched: list[int] = []
-            dead = False
-            for w in iter_bits(g.adj[v]):
-                if colors[w] == 0 and not (forbidden[w] >> c) & 1:
-                    forbidden[w] |= low
-                    touched.append(w)
-                    if forbidden[w] == full_c:
-                        dead = True
-            if not dead and place(count + 1, max(max_used, c + 1)):
-                return True
-            colors[v] = 0
-            for w in touched:
-                forbidden[w] ^= low
-        return False
+                return KColorOutcome("unknown", None, nodes)
+        if not uncolored:
+            return KColorOutcome("colorable", tuple(colors), nodes)
+        v, s = _dsatur_select(bucket, levels)
+        bucket[s] ^= 1 << v
+        uncolored ^= 1 << v
+        stack.append([v, -1, min(max_used + 1, k), max_used, bucket, 0])
 
-    try:
-        found = place(0, 0)
-    except _Abort:
-        return KColorOutcome("unknown", None, nodes)
-    if found:
-        witness = tuple(colors)
-        return KColorOutcome("colorable", witness, nodes)
-    return KColorOutcome("uncolorable", None, nodes)
+        # Give the top frame its next live color, backtracking while none is left.
+        while stack:
+            frame = stack[-1]
+            v, c, limit, used, base, newly = frame
+            if c >= 0:
+                forb[c] ^= newly
+            row = adj[v] & uncolored
+            c += 1
+            while c < limit:
+                fc = forb[c]
+                if not (fc >> v) & 1:
+                    newly = row & ~fc
+                    if not base[top] & newly:
+                        break
+                c += 1
+            if c < limit:
+                forb[c] |= newly
+                frame[1] = c
+                frame[5] = newly
+                colors[v] = c + 1
+                bucket = base[:]
+                _raise_saturation(bucket, newly)
+                max_used = max(used, c + 1)
+                break
+            stack.pop()
+            uncolored |= 1 << v
+        else:
+            return KColorOutcome("uncolorable", None, nodes)
 
 
 def _chi_connected(g: Graph, opts: SolveOptions, deadline: float | None) -> ColoringResult | ChiBracket:

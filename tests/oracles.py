@@ -3,7 +3,8 @@
 These are deliberately independent of the package's solvers: the independence
 number is computed by dynamic programming over all vertex subsets, cliques by
 direct subset checking, and colorability by plain backtracking over a static
-vertex order.
+vertex order. reference_dsatur keeps the straightforward DSATUR scan over all
+uncolored vertices, against which the package's bit-mask selector is pinned.
 """
 import unitdist as ud
 
@@ -82,3 +83,33 @@ def brute_chi(g: ud.Graph) -> int:
     while not brute_k_colorable(g, k):
         k += 1
     return k
+
+
+def reference_dsatur(g: ud.Graph) -> tuple[int, tuple[int, ...]]:
+    """DSATUR by a full scan of the uncolored vertices for every pick.
+
+    Max saturation, tie max degree, tie lowest index; each vertex takes its
+    lowest free color. Returns (color count, coloring with colors 1..count).
+    """
+    n = g.n
+    if n == 0:
+        return (0, ())
+    adj = g.adj
+    degs = [adj[v].bit_count() for v in range(n)]
+    forbidden = [0] * n
+    colors = [0] * n
+    for _ in range(n):
+        best_v, best_key = -1, (-1, -1)
+        for v in range(n):
+            if colors[v] == 0:
+                key = (forbidden[v].bit_count(), degs[v])
+                if key > best_key:
+                    best_key, best_v = key, v
+        c = 0
+        while (forbidden[best_v] >> c) & 1:
+            c += 1
+        colors[best_v] = c + 1
+        for w in range(n):
+            if (adj[best_v] >> w) & 1 and colors[w] == 0:
+                forbidden[w] |= 1 << c
+    return (max(colors), tuple(colors))

@@ -67,18 +67,23 @@ def test_criterion_2_chi_grid_d_up_to_7():
 
 
 def test_criterion_2_stretch_d8():
+    # chi(C(8,2)) = chi(C(8,4)) = 8. chi(C(8,6)) is open here, but C(8,6) has a
+    # checked 7-coloring (k_colorable(C(8,6), 7)), so chi(C(8,6)) <= 7.
     outcomes = []
     ok = True
     for u in (2, 4, 6):
+        g, _ = ud.hamming_graph(8, u)
         t0 = time.perf_counter()
-        res = chi_cell(8, u, ud.SolveOptions(time_budget=300))
+        res = ud.chromatic_number(g, ud.SolveOptions(time_budget=300))
         elapsed = time.perf_counter() - t0
         if isinstance(res, ud.ColoringResult):
             outcomes.append(f"chi(C(8,{u}))={res.chi} [{elapsed:.0f}s]")
-            ok = ok and res.chi == 8
+            proper = ud.check_coloring(g, res.coloring, res.chi)
+            ok = ok and proper and (res.chi <= 7 if u == 6 else res.chi == 8)
         else:
             outcomes.append(f"chi(C(8,{u})) in [{res.lower},{res.upper}] [{elapsed:.0f}s]")
-            ok = ok and res.lower <= 8 <= res.upper
+            proper = ud.check_coloring(g, res.coloring, res.upper)
+            ok = ok and proper and (res.lower <= 7 if u == 6 else res.lower <= 8 <= res.upper)
     report("criterion-2-stretch", ok, "; ".join(outcomes))
 
 

@@ -194,6 +194,24 @@ class TestAugmentAndVerify:
         assert cert.points == shipped.points[:2]
         assert cert.claimed_alpha == 16
 
+    @pytest.mark.parametrize("bad_line, message", [
+        ("1 1 1 1 1 1 1", "is not an 8-vector"),
+        ("3 3 0 0 0 0 0 0", "squared norm > 16"),
+        (None, "listed twice"),
+        ("1 1 1 1 1 1 1 x", "non-integer coordinate"),
+    ], ids=["short", "norm18", "duplicate", "non_integer"])
+    def test_augment_rejects_invalid_pool_point(self, capsys, tmp_path, bad_line, message):
+        good = " ".join(str(c) for c in ud.shipped_certificate().points[0])
+        pool_path = tmp_path / "pool.txt"
+        pool_path.write_text(f"{good}\n\n{bad_line or good}\n")
+        cert_path = tmp_path / "bad.cert"
+        code, out, err = run(capsys, "augment", "--pool-file", str(pool_path),
+                             "-o", str(cert_path))
+        assert code == EXIT_INVALID
+        assert message in err and "(line 3)" in err
+        assert "outcome=" not in out
+        assert not cert_path.exists()
+
     def test_verify_tampered_point_fails_fast(self, capsys, tmp_path):
         cert = ud.shipped_certificate()
         bad = ud.Certificate(cert.base, ((9, 9, 9, 9, 9, 9, 9, 9),) + cert.points[1:],

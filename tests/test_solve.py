@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -6,7 +7,13 @@ import unitdist as ud
 from unitdist.solve import _max_clique_masks, SolveOptions
 
 from conftest import random_graph
-from oracles import brute_alpha, brute_chi, brute_k_colorable, brute_max_clique
+from oracles import (
+    brute_alpha,
+    brute_chi,
+    brute_k_colorable,
+    brute_max_clique,
+    reference_dsatur,
+)
 
 
 def complete_graph(n: int) -> ud.Graph:
@@ -195,6 +202,20 @@ class TestKColorable:
             if out.coloring is not None:
                 assert ud.check_coloring(g, out.coloring, k)
 
+    def test_deep_odd_cycle_leaves_recursion_limit_alone(self):
+        n = 5001
+        g = ud.Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+        limit = sys.getrecursionlimit()
+        assert ud.k_colorable(g, 2).status == "uncolorable"
+        assert sys.getrecursionlimit() == limit
+
+    def test_c86_seven_colorable_node_count(self):
+        g, _ = ud.hamming_graph(8, 6)
+        out = ud.k_colorable(g, 7)
+        assert out.status == "colorable"
+        assert out.nodes_explored == 6103
+        assert ud.check_coloring(g, out.coloring, 7)
+
 
 class TestChromaticNumber:
     def test_c42_is_four(self):
@@ -238,6 +259,13 @@ class TestChromaticNumber:
         assert values == sorted(values)
         assert values == [2, 4, 4, 8, 8]
 
+    def test_c76_node_count(self):
+        g, _ = ud.hamming_graph(7, 6)
+        res = ud.chromatic_number(g)
+        assert isinstance(res, ud.ColoringResult)
+        assert res.chi == 4 and res.nodes_explored == 12924
+        assert ud.check_coloring(g, res.coloring, 4)
+
 
 class TestGreedyColoringBound:
     def test_edgeless_one_color(self):
@@ -265,6 +293,15 @@ class TestGreedyColoringBound:
             count, coloring = ud.greedy_coloring_bound(g, rng.choice(["dsatur", "degree", "lex"]))
             assert ud.check_coloring(g, coloring, count)
             assert count >= brute_chi(g)
+
+    def test_dsatur_matches_reference_scan(self, c52, h52):
+        rng = random.Random(88)
+        graphs = [ud.hamming_graph(6, 4)[0], h52[0], c52[0]]
+        for _ in range(60):
+            graphs.append(random_graph(rng, rng.randrange(1, 40),
+                                       rng.choice([0.1, 0.3, 0.6])))
+        for g in graphs:
+            assert ud.greedy_coloring_bound(g, "dsatur") == reference_dsatur(g)
 
     def test_unknown_policy_rejected(self, c52):
         with pytest.raises(ValueError):
