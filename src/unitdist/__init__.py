@@ -17,7 +17,6 @@ from .core import (
     degree_profile,
     graph_from_points,
     induced_subgraph,
-    is_bipartite,
     ratio_lower_bound,
 )
 from .hypercube import (

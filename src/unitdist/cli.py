@@ -10,7 +10,6 @@ Exit statuses: 0 success, 2 invalid input, 3 verification failure,
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 import time
@@ -35,14 +34,6 @@ EXIT_VERIFY_FAIL = 3
 EXIT_BUDGET = 4
 
 
-def _default_threads() -> int:
-    env = os.environ.get("UNITDIST_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _print_config(args: argparse.Namespace) -> None:
     pairs = " ".join(f"{k}={v}" for k, v in sorted(vars(args).items())
                      if k != "func" and v is not None)
@@ -53,8 +44,13 @@ def _solve_options(args: argparse.Namespace) -> SolveOptions:
     return SolveOptions(
         node_budget=args.budget_nodes if args.budget_nodes else None,
         time_budget=args.budget_seconds if args.budget_seconds else None,
-        threads=args.threads,
     )
+
+
+def _add_threads_flag(p: argparse.ArgumentParser) -> None:
+    # Kept so existing command lines keep working; the solver is single-threaded.
+    p.add_argument("--threads", type=int, choices=[1], default=1,
+                   help="accepted for compatibility; only 1 is valid")
 
 
 def _add_budget_flags(p: argparse.ArgumentParser, seconds: float) -> None:
@@ -63,8 +59,7 @@ def _add_budget_flags(p: argparse.ArgumentParser, seconds: float) -> None:
     p.add_argument("--budget-seconds", type=float, default=seconds,
                    help=f"time budget in seconds per solve, 0 = unlimited "
                         f"(default {seconds:g})")
-    p.add_argument("--threads", type=int, default=_default_threads(),
-                   help="solver worker threads (default $UNITDIST_THREADS or 1)")
+    _add_threads_flag(p)
 
 
 def cmd_build(args) -> int:
@@ -144,7 +139,7 @@ def cmd_chi(args) -> int:
     return EXIT_OK
 
 
-def _load_pool(args, state) -> e8.CandidatePool:
+def _load_pool(args, cloud) -> e8.CandidatePool:
     if args.pool_file:
         # Same point rules as the verifier, so augment cannot write a
         # certificate that verify rejects.
@@ -173,7 +168,6 @@ def _load_pool(args, state) -> e8.CandidatePool:
     if args.order == "lex":
         return pool
     if args.order == "degree":
-        cloud = state.cloud
         keyed = sorted(
             pool.points,
             key=lambda x: (-e8._neighbor_mask(cloud, x).bit_count(), x))
@@ -185,15 +179,14 @@ def _load_pool(args, state) -> e8.CandidatePool:
 
 
 def cmd_augment(args) -> int:
-    opts = SolveOptions(threads=args.threads)
     base_graph, base_cloud = e8.build_g0()
-    state = e8.initial_state(base_graph, base_cloud, opts)
-    print(f"base name={base_graph.name} n={base_graph.n} alpha={state.alpha}")
     try:
-        pool = _load_pool(args, state)
+        pool = _load_pool(args, base_cloud)
     except (OSError, ValueError) as exc:
         print(f"error message={exc}", file=sys.stderr)
         return EXIT_INVALID
+    state = e8.initial_state(base_graph, base_cloud)
+    print(f"base name={base_graph.name} n={base_graph.n} alpha={state.alpha}")
 
     def log(point, accepted, alpha):
         word = "accepted" if accepted else "rejected"
@@ -205,7 +198,7 @@ def cmd_augment(args) -> int:
         max_candidates=args.budget_candidates if args.budget_candidates >= 0 else None,
         max_accepted=args.budget_accepted if args.budget_accepted >= 0 else None,
         time_budget=args.budget_seconds if args.budget_seconds else None,
-        options=opts, log=log)
+        log=log)
     n_final = final.graph.n
     bound = ratio_lower_bound(n_final, final.alpha)
     cert = e8.Certificate(
@@ -227,9 +220,8 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error message={exc}", file=sys.stderr)
         return EXIT_INVALID
-    opts = SolveOptions(threads=args.threads)
     try:
-        report = e8.verify_certificate(cert, opts)
+        report = e8.verify_certificate(cert)
     except CertificateError as exc:
         print(f"FAIL condition={exc.condition} detail={exc.detail}")
         return EXIT_VERIFY_FAIL
@@ -247,7 +239,7 @@ def _parse_range(spec: str) -> list[int]:
 
 def cmd_table(args) -> int:
     rows: list[formats.TableRow] = []
-    opts_budget_nodes = args.budget_nodes if args.budget_nodes else None
+    opts = _solve_options(args)
     for u in args.u:
         for d in _parse_range(args.d):
             t0 = time.perf_counter()
@@ -259,10 +251,7 @@ def cmd_table(args) -> int:
                     n=1 << d, runtime=time.perf_counter() - t0))
                 continue
             graph, _ = hypercube.hamming_graph(d, u)
-            res = chromatic_number(graph, SolveOptions(
-                node_budget=opts_budget_nodes,
-                time_budget=args.budget_seconds if args.budget_seconds else None,
-                threads=args.threads))
+            res = chromatic_number(graph, opts)
             elapsed = time.perf_counter() - t0
             if isinstance(res, ColoringResult):
                 rows.append(formats.TableRow(
@@ -326,13 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max accepted points, -1 = unlimited")
     p.add_argument("--budget-seconds", type=float, default=3600.0,
                    help="wall-clock budget, 0 = unlimited (default 3600)")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    _add_threads_flag(p)
     p.add_argument("-o", "--out", required=True, help="certificate output path")
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("verify", help="recompute a certificate's claims")
     p.add_argument("certificate", help="certificate file")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    _add_threads_flag(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="chromatic numbers over a (d, u) grid")

@@ -245,39 +245,6 @@ def connected_components(g: Graph) -> list[VertexSet]:
     return comps
 
 
-def is_bipartite(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
-    """Whether g has no odd cycle; on success also a 2-coloring witness.
-
-    Witness colors are 1 and 2 (isolated vertices get 1).
-    """
-    side = [0] * g.n  # 0 = unvisited
-    unseen = g.full_mask
-    while unseen:
-        start = (unseen & -unseen).bit_length() - 1
-        side[start] = 1
-        frontier = 1 << start
-        seen = frontier
-        color = 1
-        while frontier:
-            grown = 0
-            for v in iter_bits(frontier):
-                grown |= g.adj[v]
-            frontier = grown & ~seen
-            seen |= frontier
-            color = 3 - color
-            for v in iter_bits(frontier):
-                side[v] = color
-        unseen &= ~seen
-    # valid iff no edge joins two vertices of the same side
-    mask1 = mask_from_indices(v for v in range(g.n) if side[v] == 1)
-    mask2 = g.full_mask ^ mask1
-    for v in range(g.n):
-        same = mask1 if side[v] == 1 else mask2
-        if g.adj[v] & same:
-            return (False, None)
-    return (True, tuple(side))
-
-
 def ratio_lower_bound(n_vertices: int, alpha: int) -> int:
     """ceil(n/alpha): sets of pairwise non-adjacent vertices have size at most
     alpha, so any proper coloring needs at least this many classes."""
@@ -298,8 +265,6 @@ class BoundReport:
     n_vertices: int
     alpha: int | None = None
     chi_lower: int | None = None
-    chi_exact: int | None = None
-    witness_path: str | None = None
 
     def __post_init__(self):
         if self.alpha is not None:
@@ -308,9 +273,4 @@ class BoundReport:
                 raise ValueError(
                     f"chi_lower {self.chi_lower} inconsistent with "
                     f"ceil({self.n_vertices}/{self.alpha}) = {expect}"
-                )
-        if self.chi_exact is not None and self.chi_lower is not None:
-            if self.chi_exact < self.chi_lower:
-                raise ValueError(
-                    f"chi_exact {self.chi_exact} below lower bound {self.chi_lower}"
                 )

@@ -17,20 +17,14 @@ a vertex moves the neighbors that newly see its color up one bucket with one
 mask operation per bucket, so neither selection nor propagation visits
 vertices one by one.
 
-Tie-breaking is everywhere by lowest vertex index, so single-threaded runs are
-bit-reproducible. With several worker threads the branch tree is split at the
-root into independent subproblems sharing only the monotone best-so-far value;
-the optimum value is thread-count independent because pruning against a stale
-bound is sound, but the witness may differ from the single-threaded one.
+Tie-breaking is everywhere by lowest vertex index, so runs are
+bit-reproducible.
 """
 from __future__ import annotations
 
-import random
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     Graph,
@@ -44,7 +38,7 @@ from .core import (
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Search limits and determinism knobs shared by all solver entry points.
+    """Search limits shared by all solver entry points.
 
     Budgets default to unlimited; exceeding one yields an explicit incomplete
     or unknown result, never a silently wrong value. The node budget is
@@ -54,13 +48,8 @@ class SolveOptions:
 
     node_budget: int | None = None
     time_budget: float | None = None
-    threads: int = 1
-    seed: int = 1
-    seed_tries: int = 300
 
     def __post_init__(self):
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
         if self.node_budget is not None and self.node_budget < 0:
             raise ValueError("negative node budget")
         if self.time_budget is not None and self.time_budget <= 0:
@@ -151,62 +140,27 @@ def check_coloring(g: Graph, coloring: tuple[int, ...], k: int | None = None) ->
 
 
 class _Abort(Exception):
-    pass
+    """Stops a clique search; args[0] is the status, "budget" or "target"."""
 
 
-class _Incumbent:
-    """Best clique found so far; the only value shared between workers."""
+class _Budget:
+    """Node limit and deadline of one search.
 
-    __slots__ = ("value", "mask", "lock")
+    Searches count their own nodes and consult the budget every 256 nodes, so
+    the node count may overshoot the limit by up to 256.
+    """
 
-    def __init__(self, value: int, mask: int):
-        self.value = value
-        self.mask = mask
-        self.lock = threading.Lock()
+    __slots__ = ("node_limit", "deadline")
 
-    def offer(self, value: int, mask: int) -> None:
-        with self.lock:
-            if value > self.value:
-                self.value = value
-                self.mask = mask
+    def __init__(self, options: SolveOptions):
+        self.node_limit = options.node_budget
+        self.deadline = None
+        if options.time_budget is not None:
+            self.deadline = time.monotonic() + options.time_budget
 
-
-class _Limits:
-    """Shared node/time budget and stop flag; monotone, checked in batches."""
-
-    __slots__ = ("node_limit", "deadline", "stop_at", "nodes", "stop",
-                 "budget_hit", "target_hit", "lock")
-
-    def __init__(self, node_limit, deadline, stop_at):
-        self.node_limit = node_limit
-        self.deadline = deadline
-        self.stop_at = stop_at
-        self.nodes = 0
-        self.stop = False
-        self.budget_hit = False
-        self.target_hit = False
-        self.lock = threading.Lock()
-
-    def flush(self, delta: int) -> None:
-        with self.lock:
-            self.nodes += delta
-            if self.stop:
-                raise _Abort
-            if self.node_limit is not None and self.nodes > self.node_limit:
-                self.budget_hit = True
-                self.stop = True
-                raise _Abort
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            with self.lock:
-                self.budget_hit = True
-                self.stop = True
-            raise _Abort
-
-    def hit_target(self) -> None:
-        with self.lock:
-            self.target_hit = True
-            self.stop = True
-        raise _Abort
+    def exceeded(self, nodes: int) -> bool:
+        return ((self.node_limit is not None and nodes > self.node_limit)
+                or (self.deadline is not None and time.monotonic() > self.deadline))
 
 
 def _degeneracy_order(adj: list[int] | tuple[int, ...], n: int) -> list[int]:
@@ -249,64 +203,34 @@ def _relabel(adj, n: int, order: list[int]) -> list[int]:
     return out
 
 
-def _greedy_clique_multistart(nbr: list[int], n: int, rng: random.Random, tries: int) -> tuple[int, int]:
-    """Randomized greedy cliques for an initial incumbent (value, mask)."""
-    best, best_mask = 0, 0
-    for _ in range(tries):
-        v = rng.randrange(n)
-        cur = 1 << v
-        size = 1
-        cand = nbr[v]
-        while cand:
-            nb = cand.bit_count()
-            pick = -1
-            pick_score = -1
-            for _ in range(min(4, nb)):
-                k = rng.randrange(nb)
-                cc = cand
-                for _ in range(k):
-                    cc &= cc - 1
-                w = (cc & -cc).bit_length() - 1
-                score = (nbr[w] & cand).bit_count()
-                if score > pick_score:
-                    pick_score, pick = score, w
-            cur |= 1 << pick
-            size += 1
-            cand &= nbr[pick]
-        if size > best:
-            best, best_mask = size, cur
-    return best, best_mask
+def _max_clique_masks(adj, n: int, *, initial_best: int = 0, stop_at: int | None = None,
+                      options: SolveOptions) -> tuple[int, int, int, str, int]:
+    """Maximum clique over bit rows `adj`.
 
-
-def _greedy_color_count(nbr: list[int], pool: int) -> int:
-    """Colors used by first-fit coloring of `pool`, an upper bound on its clique number."""
-    colors = 0
-    rest = pool
-    while rest:
-        colors += 1
-        q = rest
-        while q:
-            low = q & -q
-            v = low.bit_length() - 1
-            q = (q ^ low) & ~nbr[v]
-            rest ^= low
-    return colors
-
-
-def _search_subtree(nbr: list[int], r_size0: int, r_mask0: int, p0: int,
-                    inc: _Incumbent, lim: _Limits) -> tuple[int, bool]:
-    """Run the branch and bound below one subproblem; returns (nodes, aborted)."""
+    initial_best acts as a virtual incumbent: only cliques strictly larger are
+    searched for, and the returned value equals initial_best when none exists.
+    Returns (value, mask, nodes, status, coloring_upper_bound) with status one
+    of "complete", "target", "budget"; the upper bound is the number of greedy
+    color classes at the root.
+    """
+    if n == 0:
+        return (0, 0, 0, "complete", 0)
+    # branch depth is bounded by the clique size, which can reach n
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * n + 200))
+    order = _degeneracy_order(adj, n)
+    nbr = _relabel(adj, n, order)
+    budget = _Budget(options)
     order_bufs: list[list[int]] = []
     color_bufs: list[list[int]] = []
-    n = len(nbr)
+    best, best_mask = initial_best, 0
     nodes = 0
-    aborted = False
+    upper = 0
 
     def expand(depth: int, r_size: int, r_mask: int, pool: int) -> None:
-        nonlocal nodes
+        nonlocal nodes, best, best_mask, upper
         nodes += 1
-        if nodes & 255 == 0:
-            lim.flush(256)
+        if nodes & 255 == 0 and budget.exceeded(nodes):
+            raise _Abort("budget")
         if depth == len(order_bufs):
             order_bufs.append([0] * n)
             color_bufs.append([0] * n)
@@ -327,8 +251,9 @@ def _search_subtree(nbr: list[int], r_size0: int, r_mask0: int, p0: int,
                 ob[m] = v
                 cb[m] = color
                 m += 1
+        if depth == 0:
+            upper = color
         # Branch highest color first; everything at or below the cut is pruned.
-        best = inc.value
         for i in range(m - 1, -1, -1):
             if r_size + cb[i] <= best:
                 return
@@ -337,111 +262,26 @@ def _search_subtree(nbr: list[int], r_size0: int, r_mask0: int, p0: int,
             new_pool = pool & nbr[v]
             if new_pool:
                 expand(depth + 1, r_size + 1, r_mask | low, new_pool)
-                best = inc.value
             elif r_size + 1 > best:
-                inc.offer(r_size + 1, r_mask | low)
-                best = inc.value
-                if lim.stop_at is not None and best >= lim.stop_at:
-                    lim.hit_target()
+                best, best_mask = r_size + 1, r_mask | low
+                if stop_at is not None and best >= stop_at:
+                    raise _Abort("target")
             pool ^= low
 
-    try:
-        if p0:
-            expand(0, r_size0, r_mask0, p0)
-        elif r_size0 > inc.value:
-            inc.offer(r_size0, r_mask0)
-            if lim.stop_at is not None and inc.value >= lim.stop_at:
-                lim.hit_target()
-    except _Abort:
-        aborted = True
-    return nodes, aborted
-
-
-def _max_clique_masks(adj, n: int, *, initial_best: int = 0, stop_at: int | None = None,
-                      options: SolveOptions) -> tuple[int, int, int, str, int]:
-    """Maximum clique over bit rows `adj`.
-
-    initial_best acts as a virtual incumbent: only cliques strictly larger are
-    searched for, and the returned value equals initial_best when none exists.
-    Returns (value, mask, nodes, status, coloring_upper_bound) with status one
-    of "complete", "target", "budget".
-    """
-    if n == 0:
-        return (0, 0, 0, "complete", 0)
-    # branch depth is bounded by the clique size, which can reach n
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * n + 200))
-    order = _degeneracy_order(adj, n)
-    nbr = _relabel(adj, n, order)
-    full = (1 << n) - 1
-    upper = _greedy_color_count(nbr, full)
-
-    inc = _Incumbent(initial_best, 0)
-    if options.seed_tries > 0:
-        rng = random.Random(options.seed)
-        seed_val, seed_mask = _greedy_clique_multistart(nbr, n, rng, options.seed_tries)
-        inc.offer(seed_val, seed_mask)
-
-    deadline = None
-    if options.time_budget is not None:
-        deadline = time.monotonic() + options.time_budget
-    lim = _Limits(options.node_budget, deadline, stop_at)
-
     status = "complete"
-    total_nodes = 0
-    if stop_at is not None and inc.value >= stop_at:
-        status = "target"
-    elif inc.value >= upper:
-        status = "complete"  # greedy already met the coloring bound
-    elif options.threads == 1:
-        nodes, aborted = _search_subtree(nbr, 0, 0, full, inc, lim)
-        total_nodes = nodes
-        if aborted:
-            status = "target" if lim.target_hit else "budget"
-    else:
-        # Split the root's branch list into independent subproblems, highest
-        # color first, exactly as the sequential loop would visit them.
-        rest = full
-        color = 0
-        seen: list[tuple[int, int]] = []
-        while rest:
-            color += 1
-            q = rest
-            while q:
-                low = q & -q
-                v = low.bit_length() - 1
-                q = (q ^ low) & ~nbr[v]
-                rest ^= low
-                seen.append((v, color))
-        pool = full
-        tasks: list[tuple[int, int, int]] = []
-        for v, c in reversed(seen):
-            tasks.append((v, c, pool & nbr[v]))
-            pool ^= 1 << v
-
-        def run(task):
-            v, c, sub_pool = task
-            if lim.stop:
-                return (0, True)
-            if c <= inc.value:
-                return (0, False)
-            return _search_subtree(nbr, 1, 1 << v, sub_pool, inc, lim)
-
-        with ThreadPoolExecutor(max_workers=options.threads) as pool_exec:
-            for nodes, _ in pool_exec.map(run, tasks):
-                total_nodes += nodes
-        if lim.target_hit:
-            status = "target"
-        elif lim.budget_hit:
-            status = "budget"
+    try:
+        expand(0, 0, 0, (1 << n) - 1)
+    except _Abort as stop:
+        status = stop.args[0]
 
     # Map the winning mask back to the caller's vertex labels.
     mask = 0
-    rest = inc.mask
+    rest = best_mask
     while rest:
         low = rest & -rest
         rest ^= low
         mask |= 1 << order[low.bit_length() - 1]
-    return (inc.value, mask, total_nodes, status, upper)
+    return (best, mask, nodes, status, upper)
 
 
 def _complement_rows(g: Graph) -> list[int]:
@@ -521,14 +361,13 @@ def independent_set_decision(g: Graph, target: int,
     return "unknown"
 
 
-def clique_lower_bound(g: Graph, tries: int | None = None) -> int:
-    """Size of some clique found by deterministic greedy multistart; <= chi(g)."""
+def clique_lower_bound(g: Graph) -> int:
+    """Size of some clique found by greedy growth from every vertex; <= chi(g)."""
     n = g.n
     if n == 0:
         return 0
-    starts = range(n) if tries is None else range(min(n, tries))
     best = 1
-    for v in starts:
+    for v in range(n):
         cur_size = 1
         cand = g.adj[v]
         while cand:
@@ -668,19 +507,15 @@ def k_colorable(g: Graph, k: int, options: SolveOptions | None = None) -> KColor
     top = k - 1
     max_used = 0
     nodes = 0
-    node_limit = opts.node_budget
-    deadline = (time.monotonic() + opts.time_budget) if opts.time_budget else None
+    budget = _Budget(opts)
     # One frame per colored vertex: [vertex, color tried, color limit,
     # max_used on entry, buckets before its coloring, vertices it saturated].
     stack: list[list] = []
 
     while True:
         nodes += 1
-        if nodes & 255 == 0:
-            if node_limit is not None and nodes > node_limit:
-                return KColorOutcome("unknown", None, nodes)
-            if deadline is not None and time.monotonic() > deadline:
-                return KColorOutcome("unknown", None, nodes)
+        if nodes & 255 == 0 and budget.exceeded(nodes):
+            return KColorOutcome("unknown", None, nodes)
         if not uncolored:
             return KColorOutcome("colorable", tuple(colors), nodes)
         v, s = _dsatur_select(bucket, levels)
@@ -724,6 +559,8 @@ def _chi_connected(g: Graph, opts: SolveOptions, deadline: float | None) -> Colo
         return ColoringResult(1, (1,) * g.n, 0)
     upper, upper_coloring = greedy_coloring_bound(g, "dsatur")
     lower = clique_lower_bound(g)
+    if lower == upper:  # a clique as large as the coloring closes chi
+        return ColoringResult(upper, upper_coloring, 0)
     nodes = 0
 
     def remaining() -> float | None:
@@ -731,18 +568,14 @@ def _chi_connected(g: Graph, opts: SolveOptions, deadline: float | None) -> Colo
             return None
         return max(deadline - time.monotonic(), 0.001)
 
-    mis = max_independent_set(
-        g, SolveOptions(node_budget=opts.node_budget, time_budget=remaining(),
-                        threads=opts.threads, seed=opts.seed, seed_tries=opts.seed_tries))
+    mis = max_independent_set(g, replace(opts, time_budget=remaining()))
     nodes += mis.nodes_explored
     alpha_high = mis.alpha if isinstance(mis, MisResult) else mis.upper_bound
     lower = max(lower, ratio_lower_bound(g.n, alpha_high))
 
     k = lower
     while k < upper:
-        outcome = k_colorable(
-            g, k, SolveOptions(node_budget=opts.node_budget, time_budget=remaining(),
-                               threads=1, seed=opts.seed, seed_tries=opts.seed_tries))
+        outcome = k_colorable(g, k, replace(opts, time_budget=remaining()))
         nodes += outcome.nodes_explored
         if outcome.status == "colorable":
             return ColoringResult(k, outcome.coloring, nodes)

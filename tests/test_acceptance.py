@@ -342,13 +342,3 @@ class TestCriterion10Properties:
             assert ud.greedy_coloring_bound(g, order) == ud.greedy_coloring_bound(g, order)
         assert ud.clique_lower_bound(g) == ud.clique_lower_bound(g)
         self.pieces.append(f"single-thread determinism {time.perf_counter()-t0:.1f}s")
-
-    def test_mis_value_deterministic_1_vs_4_threads(self, slice1045):
-        t0 = time.perf_counter()
-        g, _ = slice1045
-        single = ud.max_independent_set(g, ud.SolveOptions(threads=1))
-        quad = ud.max_independent_set(g, ud.SolveOptions(threads=4))
-        assert isinstance(single, ud.MisResult) and isinstance(quad, ud.MisResult)
-        assert single.alpha == quad.alpha == 12
-        assert ud.check_independent_set(g, quad.witness)
-        self.pieces.append(f"threads 1 vs 4 on C(10,4,5) {time.perf_counter()-t0:.1f}s")

@@ -7,6 +7,7 @@ from unitdist.cli import (
     EXIT_INVALID,
     EXIT_OK,
     EXIT_VERIFY_FAIL,
+    build_parser,
     main,
 )
 
@@ -209,6 +210,8 @@ class TestAugmentAndVerify:
                              "-o", str(cert_path))
         assert code == EXIT_INVALID
         assert message in err and "(line 3)" in err
+        # refused before the base graph's alpha is solved
+        assert "base name=" not in out
         assert "outcome=" not in out
         assert not cert_path.exists()
 
@@ -244,14 +247,15 @@ class TestExitCodesAreDistinct:
 
 
 class TestReproducibility:
-    def test_thread_default_from_environment(self, monkeypatch):
-        from unitdist.cli import build_parser
-        monkeypatch.setenv("UNITDIST_THREADS", "3")
-        args = build_parser().parse_args(["alpha", "g.graph"])
-        assert args.threads == 3
-        monkeypatch.setenv("UNITDIST_THREADS", "junk")
-        args = build_parser().parse_args(["alpha", "g.graph"])
-        assert args.threads == 1
+    @pytest.mark.parametrize("command", [["alpha", "g.graph"], ["verify", "x.cert"],
+                                         ["augment", "-o", "x.cert"]],
+                             ids=["alpha", "verify", "augment"])
+    def test_threads_flag_accepts_only_one(self, command):
+        parser = build_parser()
+        assert parser.parse_args(command + ["--threads", "1"]).threads == 1
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(command + ["--threads", "2"])
+        assert exc.value.code == EXIT_INVALID
 
     def test_identical_flags_give_byte_identical_outputs(self, capsys, tmp_path):
         blobs = []

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import unitdist as ud
-from unitdist.core import DuplicatePointError, iter_bits, sq_dist
+from unitdist.core import DuplicatePointError, sq_dist
 
 from conftest import random_graph
 
@@ -27,25 +27,6 @@ def bfs_components_oracle(g: ud.Graph) -> list[set[int]]:
         seen |= comp
         comps.append(comp)
     return comps
-
-
-def has_odd_cycle_oracle(g: ud.Graph) -> bool:
-    color: dict[int, int] = {}
-    for start in range(g.n):
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in range(g.n):
-                if g.has_edge(v, w):
-                    if w not in color:
-                        color[w] = 1 - color[v]
-                        queue.append(w)
-                    elif color[w] == color[v]:
-                        return True
-    return False
 
 
 class TestGraphConstruction:
@@ -193,35 +174,6 @@ class TestConnectedComponents:
             assert comps == {frozenset(c) for c in bfs_components_oracle(g)}
 
 
-class TestIsBipartite:
-    def test_c53_bipartite_by_weight_parity(self):
-        g, _ = ud.hamming_graph(5, 3)
-        ok, witness = ud.is_bipartite(g)
-        assert ok
-        # flipping an odd number of bits flips weight parity
-        for v in range(g.n):
-            for w in iter_bits(g.adj[v]):
-                assert witness[v] != witness[w]
-
-    def test_triangle_not_bipartite(self):
-        g = ud.Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        assert ud.is_bipartite(g) == (False, None)
-
-    def test_c42_not_bipartite(self):
-        g, _ = ud.hamming_graph(4, 2)
-        ok, witness = ud.is_bipartite(g)
-        assert not ok and witness is None
-
-    def test_matches_odd_cycle_oracle(self):
-        rng = random.Random(5)
-        for _ in range(60):
-            g = random_graph(rng, rng.randrange(1, 11), rng.choice([0.15, 0.3, 0.6]))
-            ok, witness = ud.is_bipartite(g)
-            assert ok == (not has_odd_cycle_oracle(g))
-            if ok:
-                assert all(witness[i] != witness[j] for i, j in g.edges())
-
-
 class TestRatioLowerBound:
     def test_headline_ratio_bounds(self):
         assert ud.ratio_lower_bound(512, 20) == 26
@@ -263,7 +215,3 @@ class TestBoundReport:
     def test_inconsistent_ratio_rejected(self):
         with pytest.raises(ValueError):
             ud.BoundReport("g", 289, alpha=16, chi_lower=18)
-
-    def test_chi_exact_below_lower_rejected(self):
-        with pytest.raises(ValueError):
-            ud.BoundReport("g", 8, alpha=2, chi_lower=4, chi_exact=3)

@@ -88,16 +88,12 @@ class TestMaxIndependentSet:
             assert first.witness == second.witness
             assert first.nodes_explored == second.nodes_explored
 
-    def test_value_deterministic_across_thread_counts(self):
-        rng = random.Random(13)
-        for _ in range(6):
-            g = random_graph(rng, rng.randrange(20, 45), 0.5)
-            base = ud.max_independent_set(g)
-            for threads in (2, 3):
-                res = ud.max_independent_set(g, ud.SolveOptions(threads=threads))
-                assert isinstance(res, ud.MisResult)
-                assert res.alpha == base.alpha
-                assert ud.check_independent_set(g, res.witness)
+    def test_g0_node_count(self, g0_pair):
+        g, _ = g0_pair
+        res = ud.max_independent_set(g)
+        assert isinstance(res, ud.MisResult)
+        assert res.alpha == 16 and res.nodes_explored == 167625
+        assert ud.check_independent_set(g, res.witness)
 
 
 class TestAlphaVertexTransitive:
@@ -263,8 +259,28 @@ class TestChromaticNumber:
         g, _ = ud.hamming_graph(7, 6)
         res = ud.chromatic_number(g)
         assert isinstance(res, ud.ColoringResult)
-        assert res.chi == 4 and res.nodes_explored == 12924
+        assert res.chi == 4 and res.nodes_explored == 13056
         assert ud.check_coloring(g, res.coloring, 4)
+
+    def test_clique_meeting_dsatur_closes_without_search(self):
+        g, _ = ud.hamming_graph(8, 2)
+        res = ud.chromatic_number(g)
+        assert isinstance(res, ud.ColoringResult)
+        assert res.chi == 8 and res.nodes_explored == 0
+        assert ud.check_coloring(g, res.coloring, 8)
+
+    def test_bipartite_closes_without_search(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            n = rng.randrange(2, 30)
+            side = [rng.randrange(2) for _ in range(n)]
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if side[i] != side[j] and rng.random() < 0.3]
+            g = ud.Graph.from_edges(n, edges)
+            res = ud.chromatic_number(g)
+            assert isinstance(res, ud.ColoringResult)
+            assert res.chi == (2 if edges else 1) and res.nodes_explored == 0
+            assert ud.check_coloring(g, res.coloring, res.chi)
 
 
 class TestGreedyColoringBound:
@@ -326,7 +342,7 @@ class TestCliqueLowerBound:
         # Adjacent roots are orthogonal, orthogonal vectors are linearly
         # independent, so no clique exceeds the dimension 8.
         g, _ = g0_pair
-        found = ud.clique_lower_bound(g, tries=40)
+        found = ud.clique_lower_bound(g)
         assert 2 <= found <= 8
         value, _, _, status, _ = _max_clique_masks(list(g.adj), g.n,
                                                    options=SolveOptions())
@@ -354,6 +370,6 @@ class TestResultTypes:
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
-            ud.SolveOptions(threads=0)
+            ud.SolveOptions(node_budget=-1)
         with pytest.raises(ValueError):
             ud.SolveOptions(time_budget=0)
