@@ -26,6 +26,7 @@ from .core import (
     VertexSet,
     graph_from_points,
     induced_subgraph,
+    iter_bits,
     ratio_lower_bound,
     sq_dist,
 )
@@ -34,6 +35,7 @@ from .solve import (
     SolveOptions,
     _complement_rows,
     _max_clique_masks,
+    check_independent_set,
     max_independent_set,
 )
 
@@ -169,24 +171,37 @@ def _extend(cloud: PointCloud, graph: Graph, x: Vec, nbr_mask: int) -> tuple[Poi
 
 
 def _alpha_after_adding(graph: Graph, cloud: PointCloud, alpha: int, x: Vec,
-                        options: SolveOptions) -> tuple[int, int, int]:
-    """(alpha of graph+x, x's neighbor mask, solver nodes).
+                        nbr: int, options: SolveOptions) -> tuple[int, int]:
+    """(alpha of graph+x, solver nodes), given x's neighbor mask nbr in graph.
 
     alpha(G + x) = max(alpha(G), 1 + alpha(G restricted to non-neighbors of x)),
-    so one induced MIS call on the non-neighbor subgraph decides the step. The
-    virtual incumbent alpha-1 makes the call a pure refutation when the value
-    is preserved.
+    and adding one vertex raises alpha by at most one. So the step is a
+    decision: does some independent alpha-set avoid every neighbor of x? The
+    search starts from the virtual incumbent alpha-1 and stops at the first
+    such set, which makes alpha(G + x) = alpha + 1 exact; a search that
+    completes without one is a refutation, and alpha is preserved. A point
+    with no neighbor is decided without search: any maximum independent set
+    plus x is independent. The witness of a stopped search is re-checked on
+    the graph and against x's coordinates before the rejection is returned.
     """
-    nbr = _neighbor_mask(cloud, x)
+    if nbr == 0:
+        return alpha + 1, 0
     non_nbr = graph.full_mask & ~nbr
-    sub, _ = induced_subgraph(graph, VertexSet(graph.n, non_nbr))
-    value, _, nodes, status, _ = _max_clique_masks(
-        _complement_rows(sub), sub.n, initial_best=alpha - 1, options=options)
-    if status != "complete":
+    sub, index_map = induced_subgraph(graph, VertexSet(graph.n, non_nbr))
+    _, mask, nodes, status, _ = _max_clique_masks(
+        _complement_rows(sub), sub.n, initial_best=alpha - 1, stop_at=alpha,
+        options=options)
+    if status == "budget":
         raise TimeoutError(f"solver budget exhausted while testing point {x}")
-    if value <= alpha - 1:
-        return alpha, nbr, nodes
-    return 1 + value, nbr, nodes
+    if status == "complete":
+        return alpha, nodes
+    back = list(index_map)  # new index -> old index, in increasing order
+    witness = VertexSet(graph.n, sum(1 << back[v] for v in iter_bits(mask)))
+    if (len(witness) != alpha or not check_independent_set(graph, witness)
+            or any(sq_dist(cloud.points[v], x) == cloud.adjacency_sq_dist
+                   for v in witness)):
+        raise RuntimeError(f"witness for rejecting point {x} failed its re-check")
+    return alpha + 1, nodes
 
 
 def addition_preserves_alpha(state: AugmentationState, x: Vec,
@@ -198,8 +213,9 @@ def addition_preserves_alpha(state: AugmentationState, x: Vec,
     """
     if x in set(state.cloud.points):
         raise ValueError(f"point {x} is already a vertex")
-    new_alpha, _, _ = _alpha_after_adding(
-        state.graph, state.cloud, state.alpha, x, options or SolveOptions())
+    new_alpha, _ = _alpha_after_adding(
+        state.graph, state.cloud, state.alpha, x, _neighbor_mask(state.cloud, x),
+        options or SolveOptions())
     return (new_alpha == state.alpha, new_alpha)
 
 
@@ -217,16 +233,17 @@ def augment_greedy(state: AugmentationState, pool, *,
                    max_candidates: int | None = None,
                    max_accepted: int | None = None,
                    time_budget: float | None = None,
-                   skip_isolated: bool = False,
                    options: SolveOptions | None = None,
                    log=None) -> AugmentationState:
     """Accept every pool point, in pool order, whose addition preserves alpha.
 
-    Points already in the graph are skipped without consuming budget. With
-    skip_isolated, points with no neighbor in the current graph are rejected
-    without a solver call (they would necessarily raise alpha anyway whenever
-    alpha >= 1). Budget exhaustion terminates the walk with a termination tag
-    distinct from "pool_exhausted".
+    Each candidate is a decision, not a solve: a rejection stops at the first
+    independent alpha-set among x's non-neighbors, which is exact because one
+    point raises alpha by at most one, and a point with no neighbor is
+    rejected without search. Only accepted points pay for a full refutation.
+    Points already in the graph are skipped without consuming budget. Budget
+    exhaustion terminates the walk with a termination tag distinct from
+    "pool_exhausted".
     """
     opts = options or SolveOptions()
     points = pool.points if isinstance(pool, CandidatePool) else tuple(pool)
@@ -254,12 +271,7 @@ def augment_greedy(state: AugmentationState, pool, *,
             break
         tested += 1
         nbr = _neighbor_mask(cloud, x)
-        if skip_isolated and nbr == 0:
-            rejected += 1
-            if log:
-                log(x, False, alpha)
-            continue
-        new_alpha, nbr, step_nodes = _alpha_after_adding(graph, cloud, alpha, x, opts)
+        new_alpha, step_nodes = _alpha_after_adding(graph, cloud, alpha, x, nbr, opts)
         nodes += step_nodes
         if new_alpha == alpha:
             cloud, graph = _extend(cloud, graph, x, nbr)

@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 
 import unitdist as ud
+from unitdist import e8
 from unitdist.core import sq_dist
 from unitdist.e8 import BALL_SQ_RADIUS, CertificateError, _neighbor_mask
 
@@ -125,6 +126,14 @@ class TestEnumerateBall:
         assert {tuple(p[k] * signs[k] for k in perm) for p in pts} == pts
 
 
+NORM_12_POINT = (0, 1, 1, 0, -2, 1, -2, 1)
+
+
+@pytest.fixture(scope="module")
+def g0_state(g0_pair):
+    return ud.initial_state(*g0_pair)
+
+
 def tiny_state(points, sq, options=None):
     cloud = ud.PointCloud(len(points[0]), tuple(points), sq)
     graph = ud.graph_from_points(cloud)
@@ -161,6 +170,13 @@ class TestAdditionPreservesAlpha:
             preserved, new_alpha = ud.addition_preserves_alpha(state, x)
             assert preserved and new_alpha == 16
             state = ud.augment_greedy(state, [x])
+
+    def test_isolated_point_on_empty_graph(self):
+        # alpha 0: the no-neighbour rule still gives the exact value 1.
+        cloud = ud.PointCloud(2, (), 4)
+        state = ud.initial_state(ud.graph_from_points(cloud), cloud)
+        assert state.alpha == 0
+        assert ud.addition_preserves_alpha(state, (0, 0)) == (False, 1)
 
     def test_matches_from_scratch_recomputation(self):
         # Random integer clouds; compare the non-neighbor reduction against
@@ -231,8 +247,40 @@ class TestAugmentGreedy:
 
     def test_skip_isolated_prefilter(self):
         state = tiny_state([(0, 0, 0)], 4)
-        final = ud.augment_greedy(state, [(9, 9, 9)], skip_isolated=True)
+        final = ud.augment_greedy(state, [(9, 9, 9)])
         assert final.rejected_count == 1 and final.nodes_explored == state.nodes_explored
+
+    def test_rejection_stops_at_first_witness(self, g0_state):
+        # An exact solve of this point's non-neighbour subgraph takes 20,287
+        # nodes; the decision stops at its first independent 16-set.
+        state = g0_state
+        assert ud.addition_preserves_alpha(state, NORM_12_POINT) == (False, 17)
+        final = ud.augment_greedy(state, [NORM_12_POINT])
+        assert final.rejected_count == 1 and final.added == ()
+        assert final.nodes_explored - state.nodes_explored == 16
+
+    @pytest.mark.parametrize("corrupt", [lambda m: m & (m - 1), lambda m: (1 << 16) - 1],
+                             ids=["short", "not-independent"])
+    def test_rejection_witness_is_rechecked(self, g0_state, monkeypatch, corrupt):
+        state = g0_state
+        real = e8._max_clique_masks
+
+        def tampered(*args, **kwargs):
+            value, mask, nodes, status, upper = real(*args, **kwargs)
+            return value, corrupt(mask), nodes, status, upper
+
+        monkeypatch.setattr(e8, "_max_clique_masks", tampered)
+        with pytest.raises(RuntimeError, match="re-check"):
+            ud.augment_greedy(state, [NORM_12_POINT])
+
+    def test_odd_norm_point_rejected_without_search(self, g0_state):
+        # Odd squared norm: every distance to a root is odd, never 16.
+        state = g0_state
+        x = (1, 0, 0, 0, 0, 0, 0, 0)
+        assert ud.addition_preserves_alpha(state, x) == (False, 17)
+        final = ud.augment_greedy(state, [x])
+        assert final.rejected_count == 1
+        assert final.nodes_explored == state.nodes_explored
 
     def test_full_ball_prefix_on_g0(self, g0_pair):
         graph, cloud = g0_pair
