@@ -4,9 +4,14 @@ A maximum independent set is computed as a maximum clique of the complement
 graph, by branch and bound with greedy-coloring upper bounds at every node
 (candidate sets and color classes are Python integers, so the inner loops are
 bit-parallel). The branching vertex is always the one in the highest color
-class. Chromatic numbers are bracketed between max(clique bound, ceil(n/alpha))
-and a DSATUR coloring, then closed with a complete k-colorability search that
-forces the first occurrence of each new color.
+class. Color classes at or below the cut, incumbent size minus clique size,
+are never branched on, so they are only peeled off the candidate pool, not
+recorded. The clique search, like the k-colorability search, keeps an
+explicit stack, so neither is bounded by the interpreter's recursion limit
+and neither changes it. Chromatic numbers are bracketed between
+max(clique bound, ceil(n/alpha)) and a DSATUR coloring, then closed with a
+complete k-colorability search that forces the first occurrence of each new
+color.
 
 DSATUR is written once, over bit masks, and serves both the greedy bound and
 the k-colorability search: forb[c] holds the vertices with a neighbor of color
@@ -22,7 +27,6 @@ bit-reproducible.
 """
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, replace
 
@@ -139,10 +143,6 @@ def check_coloring(g: Graph, coloring: tuple[int, ...], k: int | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-class _Abort(Exception):
-    """Stops a clique search; args[0] is the status, "budget" or "target"."""
-
-
 class _Budget:
     """Node limit and deadline of one search.
 
@@ -203,6 +203,16 @@ def _relabel(adj, n: int, order: list[int]) -> list[int]:
     return out
 
 
+def _unrelabel(mask: int, order: list[int]) -> int:
+    """Map a mask over relabelled vertices back to the caller's labels."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= 1 << order[low.bit_length() - 1]
+    return out
+
+
 def _max_clique_masks(adj, n: int, *, initial_best: int = 0, stop_at: int | None = None,
                       options: SolveOptions) -> tuple[int, int, int, str, int]:
     """Maximum clique over bit rows `adj`.
@@ -212,76 +222,87 @@ def _max_clique_masks(adj, n: int, *, initial_best: int = 0, stop_at: int | None
     Returns (value, mask, nodes, status, coloring_upper_bound) with status one
     of "complete", "target", "budget"; the upper bound is the number of greedy
     color classes at the root.
+
+    Each node colors its candidate pool greedily, lowest index first, over the
+    non-neighbor rows of the relabelled graph. A class whose color is at or
+    below the cut best - |clique| can never be branched on, because best only
+    grows, so those classes are peeled without being recorded; the classes
+    above the cut are kept as masks and branched highest color first, highest
+    index first within a class, until the cut (re-read after every child, as
+    best may have grown) is reached. The search keeps an explicit stack of
+    parent frames, so its depth is not bounded by the interpreter's recursion
+    limit.
     """
     if n == 0:
         return (0, 0, 0, "complete", 0)
-    # branch depth is bounded by the clique size, which can reach n
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * n + 200))
     order = _degeneracy_order(adj, n)
     nbr = _relabel(adj, n, order)
+    full = (1 << n) - 1
+    # anti[v + 1] is v's non-neighbor row, so a bit `low` indexes it by low.bit_length().
+    anti = [0] + [full ^ nbr[v] ^ (1 << v) for v in range(n)]
     budget = _Budget(options)
-    order_bufs: list[list[int]] = []
-    color_bufs: list[list[int]] = []
     best, best_mask = initial_best, 0
     nodes = 0
     upper = 0
+    # One frame per clique vertex above the current node: the parent's
+    # (clique size, clique mask, pool, unbranched classes, current class, its color).
+    stack: list[tuple] = []
+    r_size, r_mask, pool = 0, 0, full
 
-    def expand(depth: int, r_size: int, r_mask: int, pool: int) -> None:
-        nonlocal nodes, best, best_mask, upper
+    while True:
         nodes += 1
         if nodes & 255 == 0 and budget.exceeded(nodes):
-            raise _Abort("budget")
-        if depth == len(order_bufs):
-            order_bufs.append([0] * n)
-            color_bufs.append([0] * n)
-        ob = order_bufs[depth]
-        cb = color_bufs[depth]
-        # Greedy color classes over the candidate pool, lowest index first.
-        m = 0
+            return (best, _unrelabel(best_mask, order), nodes, "budget", upper)
+        # Greedy color classes over pool, lowest index first; classes 1..cut
+        # cannot lead past best, so they are peeled off without being recorded.
+        cut = best - r_size
         rest = pool
         color = 0
-        while rest:
+        while rest and color < cut:
             color += 1
             q = rest
             while q:
                 low = q & -q
-                v = low.bit_length() - 1
-                q = (q ^ low) & ~nbr[v]
                 rest ^= low
-                ob[m] = v
-                cb[m] = color
-                m += 1
-        if depth == 0:
+                q &= anti[low.bit_length()]
+        classes = []
+        while rest:
+            color += 1
+            q = before = rest
+            while q:
+                low = q & -q
+                rest ^= low
+                q &= anti[low.bit_length()]
+            classes.append(before ^ rest)
+        if not stack:
             upper = color
-        # Branch highest color first; everything at or below the cut is pruned.
-        for i in range(m - 1, -1, -1):
-            if r_size + cb[i] <= best:
-                return
-            v = ob[i]
+        cls = classes.pop() if classes else 0
+
+        # Take the next branch, backing up through finished frames.
+        while True:
+            if not cls or r_size + color <= best:
+                if not stack:
+                    return (best, _unrelabel(best_mask, order), nodes, "complete", upper)
+                r_size, r_mask, pool, classes, cls, color = stack.pop()
+                continue
+            v = cls.bit_length() - 1
             low = 1 << v
+            cls ^= low
+            if not cls and classes:
+                cls = classes.pop()
+                color -= 1
             new_pool = pool & nbr[v]
+            pool ^= low
             if new_pool:
-                expand(depth + 1, r_size + 1, r_mask | low, new_pool)
-            elif r_size + 1 > best:
+                stack.append((r_size, r_mask, pool, classes, cls, color))
+                r_size += 1
+                r_mask |= low
+                pool = new_pool
+                break
+            if r_size >= best:
                 best, best_mask = r_size + 1, r_mask | low
                 if stop_at is not None and best >= stop_at:
-                    raise _Abort("target")
-            pool ^= low
-
-    status = "complete"
-    try:
-        expand(0, 0, 0, (1 << n) - 1)
-    except _Abort as stop:
-        status = stop.args[0]
-
-    # Map the winning mask back to the caller's vertex labels.
-    mask = 0
-    rest = best_mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        mask |= 1 << order[low.bit_length() - 1]
-    return (best, mask, nodes, status, upper)
+                    return (best, _unrelabel(best_mask, order), nodes, "target", upper)
 
 
 def _complement_rows(g: Graph) -> list[int]:

@@ -5,8 +5,14 @@ number is computed by dynamic programming over all vertex subsets, cliques by
 direct subset checking, and colorability by plain backtracking over a static
 vertex order. reference_dsatur keeps the straightforward DSATUR scan over all
 uncolored vertices, against which the package's bit-mask selector is pinned.
+reference_max_clique keeps the recursive clique kernel that the package's
+explicit-stack kernel replaced, as a differential oracle for its node counts,
+witnesses, statuses and bounds.
 """
+import sys
+
 import unitdist as ud
+from unitdist.solve import _Budget, _degeneracy_order, _relabel
 
 
 def brute_alpha(g: ud.Graph) -> int:
@@ -113,3 +119,85 @@ def reference_dsatur(g: ud.Graph) -> tuple[int, tuple[int, ...]]:
             if (adj[best_v] >> w) & 1 and colors[w] == 0:
                 forbidden[w] |= 1 << c
     return (max(colors), tuple(colors))
+
+
+class _Abort(Exception):
+    """Stops a clique search; args[0] is the status, "budget" or "target"."""
+
+
+def reference_max_clique(adj, n: int, *, initial_best: int = 0, stop_at: int | None = None,
+                         options) -> tuple[int, int, int, str, int]:
+    """The recursive clique kernel that every vertex of every node colors.
+
+    Same contract as unitdist.solve._max_clique_masks: returns
+    (value, mask, nodes, status, coloring_upper_bound).
+    """
+    if n == 0:
+        return (0, 0, 0, "complete", 0)
+    # branch depth is bounded by the clique size, which can reach n
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * n + 200))
+    order = _degeneracy_order(adj, n)
+    nbr = _relabel(adj, n, order)
+    budget = _Budget(options)
+    order_bufs: list[list[int]] = []
+    color_bufs: list[list[int]] = []
+    best, best_mask = initial_best, 0
+    nodes = 0
+    upper = 0
+
+    def expand(depth: int, r_size: int, r_mask: int, pool: int) -> None:
+        nonlocal nodes, best, best_mask, upper
+        nodes += 1
+        if nodes & 255 == 0 and budget.exceeded(nodes):
+            raise _Abort("budget")
+        if depth == len(order_bufs):
+            order_bufs.append([0] * n)
+            color_bufs.append([0] * n)
+        ob = order_bufs[depth]
+        cb = color_bufs[depth]
+        # Greedy color classes over the candidate pool, lowest index first.
+        m = 0
+        rest = pool
+        color = 0
+        while rest:
+            color += 1
+            q = rest
+            while q:
+                low = q & -q
+                v = low.bit_length() - 1
+                q = (q ^ low) & ~nbr[v]
+                rest ^= low
+                ob[m] = v
+                cb[m] = color
+                m += 1
+        if depth == 0:
+            upper = color
+        # Branch highest color first; everything at or below the cut is pruned.
+        for i in range(m - 1, -1, -1):
+            if r_size + cb[i] <= best:
+                return
+            v = ob[i]
+            low = 1 << v
+            new_pool = pool & nbr[v]
+            if new_pool:
+                expand(depth + 1, r_size + 1, r_mask | low, new_pool)
+            elif r_size + 1 > best:
+                best, best_mask = r_size + 1, r_mask | low
+                if stop_at is not None and best >= stop_at:
+                    raise _Abort("target")
+            pool ^= low
+
+    status = "complete"
+    try:
+        expand(0, 0, 0, (1 << n) - 1)
+    except _Abort as stop:
+        status = stop.args[0]
+
+    # Map the winning mask back to the caller's vertex labels.
+    mask = 0
+    rest = best_mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        mask |= 1 << order[low.bit_length() - 1]
+    return (best, mask, nodes, status, upper)

@@ -66,6 +66,7 @@ def test_criterion_2_chi_grid_d_up_to_7():
            f"all 18 exact cells for d<=7 match, worst cell {worst:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_2_stretch_d8():
     # chi(C(8,2)) = chi(C(8,4)) = 8. chi(C(8,6)) is open here, but C(8,6) has a
     # checked 7-coloring (k_colorable(C(8,6), 7)), so chi(C(8,6)) <= 7.

@@ -13,6 +13,7 @@ from oracles import (
     brute_k_colorable,
     brute_max_clique,
     reference_dsatur,
+    reference_max_clique,
 )
 
 
@@ -94,6 +95,28 @@ class TestMaxIndependentSet:
         assert isinstance(res, ud.MisResult)
         assert res.alpha == 16 and res.nodes_explored == 167625
         assert ud.check_independent_set(g, res.witness)
+
+    def test_slice_node_count(self, slice1045):
+        g, _ = slice1045
+        res = ud.max_independent_set(g)
+        assert isinstance(res, ud.MisResult)
+        assert res.alpha == 12 and res.nodes_explored == 427490
+        assert ud.check_independent_set(g, res.witness)
+
+    def test_deep_clique_leaves_recursion_limit_alone(self):
+        # alpha 1500: the complement's clique search is 1500 vertices deep
+        n = 1500
+        limit = sys.getrecursionlimit()
+        res = ud.max_independent_set(ud.Graph(n, (0,) * n))
+        assert isinstance(res, ud.MisResult) and res.alpha == n
+        assert sys.getrecursionlimit() == limit
+
+    def test_budgeted_solve_leaves_recursion_limit_alone(self):
+        g, _ = ud.half_cube(10, 4)
+        limit = sys.getrecursionlimit()
+        res = ud.max_independent_set(g, ud.SolveOptions(node_budget=10))
+        assert isinstance(res, ud.MisIncomplete)
+        assert sys.getrecursionlimit() == limit
 
 
 class TestAlphaVertexTransitive:
@@ -347,6 +370,30 @@ class TestCliqueLowerBound:
         value, _, _, status, _ = _max_clique_masks(list(g.adj), g.n,
                                                    options=SolveOptions())
         assert status == "complete" and value == 8
+
+
+class TestCliqueKernelAgainstRecursiveReference:
+    def test_identical_results_on_random_graphs(self):
+        # (value, mask, nodes, status, upper) must match the recursive kernel
+        # bit for bit, for every incumbent, target and budget combination.
+        rng = random.Random(2024)
+        statuses = {"complete": 0, "target": 0, "budget": 0}
+        for _ in range(200):
+            n = rng.randrange(1, 70)
+            g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7, 0.9]))
+            adj = list(g.adj)
+            omega = reference_max_clique(adj, n, options=SolveOptions())[0]
+            opts = SolveOptions(node_budget=rng.choice([None, 0, 300]))
+            for initial_best in sorted({0, max(omega - 1, 0), omega}):
+                for stop_at in (None, omega):
+                    got = _max_clique_masks(adj, n, initial_best=initial_best,
+                                            stop_at=stop_at, options=opts)
+                    want = reference_max_clique(adj, n, initial_best=initial_best,
+                                                stop_at=stop_at, options=opts)
+                    assert got == want, (n, initial_best, stop_at, opts)
+                    statuses[got[3]] += 1
+        assert statuses["budget"] >= 20
+        assert statuses["target"] >= 20 and statuses["complete"] >= 20
 
 
 class TestComplementDuality:
