@@ -93,10 +93,10 @@ def cmd_build(args) -> int:
 def cmd_alpha(args) -> int:
     try:
         graph = formats.read_graph(args.graph)
+        opts = _solve_options(args)
     except (OSError, ValueError) as exc:
         print(f"error message={exc}", file=sys.stderr)
         return EXIT_INVALID
-    opts = _solve_options(args)
     try:
         if args.transitive_pivot is not None:
             res = alpha_vertex_transitive(graph, args.transitive_pivot, opts)
@@ -121,11 +121,12 @@ def cmd_alpha(args) -> int:
 def cmd_chi(args) -> int:
     try:
         graph = formats.read_graph(args.graph)
+        opts = _solve_options(args)
     except (OSError, ValueError) as exc:
         print(f"error message={exc}", file=sys.stderr)
         return EXIT_INVALID
     t0 = time.perf_counter()
-    res = chromatic_number(graph, _solve_options(args))
+    res = chromatic_number(graph, opts)
     elapsed = time.perf_counter() - t0
     if isinstance(res, ChiBracket):
         print(f"incomplete chi_lower={res.lower} chi_upper={res.upper} "
@@ -231,17 +232,33 @@ def cmd_verify(args) -> int:
 
 
 def _parse_range(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(spec)]
+    """The dimensions named by "d" or "lo..hi"; ValueError unless all lie in 1..MAX_DIM."""
+    lo, sep, hi = spec.partition("..")
+    try:
+        dims = list(range(int(lo), int(hi) + 1)) if sep else [int(spec)]
+    except ValueError:
+        raise ValueError(f"dimension {spec!r} is neither an integer nor a range lo..hi") from None
+    if not dims:
+        raise ValueError(f"dimension range {spec!r} is empty")
+    if dims[0] < 1:
+        raise ValueError(f"dimension d={dims[0]} must be at least 1")
+    if dims[-1] > hypercube.MAX_DIM:
+        raise ValueError(f"dimension d={dims[-1]} exceeds the width cap {hypercube.MAX_DIM}")
+    return dims
 
 
 def cmd_table(args) -> int:
+    try:
+        dims = _parse_range(args.d)
+        if min(args.u) < 1:
+            raise ValueError(f"Hamming distance u={min(args.u)} must be at least 1")
+        opts = _solve_options(args)
+    except ValueError as exc:
+        print(f"error message={exc}", file=sys.stderr)
+        return EXIT_INVALID
     rows: list[formats.TableRow] = []
-    opts = _solve_options(args)
     for u in args.u:
-        for d in _parse_range(args.d):
+        for d in dims:
             t0 = time.perf_counter()
             if u > d:
                 # No pair of d-bit vectors is at Hamming distance u > d, so the

@@ -79,7 +79,9 @@ class Graph:
     """Undirected loop-free graph with one adjacency bit row per vertex.
 
     Immutable after construction; construction validates symmetry and
-    loop-freeness, so a Graph instance is always structurally sound.
+    loop-freeness, so a Graph instance is always structurally sound. Builders
+    whose rows are symmetric and loop-free by construction use _trusted,
+    which skips that check.
     """
 
     n: int
@@ -102,6 +104,20 @@ class Graph:
                 transpose[w] |= 1 << v
         if tuple(transpose) != tuple(self.adj):
             raise ValueError("adjacency is not symmetric")
+
+    @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...], name: str = "") -> "Graph":
+        """A Graph over rows that are symmetric and loop-free by construction.
+
+        Skips the transpose check of __post_init__; only builders in this
+        package whose rows cannot be asymmetric call it. Input from outside
+        the program goes through Graph(...) or Graph.from_edges.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        object.__setattr__(g, "name", name)
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges, name: str = "") -> "Graph":
@@ -193,7 +209,7 @@ def graph_from_points(cloud: PointCloud, name: str = "") -> Graph:
             if sq_dist(pi, pts[j]) == target:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return Graph(n, tuple(adj), name)
+    return Graph._trusted(n, tuple(adj), name)
 
 
 def induced_subgraph(g: Graph, keep: VertexSet) -> tuple[Graph, dict[int, int]]:
@@ -213,7 +229,7 @@ def induced_subgraph(g: Graph, keep: VertexSet) -> tuple[Graph, dict[int, int]]:
         for w in iter_bits(row):
             new_row |= 1 << index_map[w]
         adj.append(new_row)
-    sub = Graph(len(old), tuple(adj), name=f"{g.name}[{len(old)}]" if g.name else "")
+    sub = Graph._trusted(len(old), tuple(adj), f"{g.name}[{len(old)}]" if g.name else "")
     return sub, index_map
 
 

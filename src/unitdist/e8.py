@@ -167,7 +167,7 @@ def _extend(cloud: PointCloud, graph: Graph, x: Vec, nbr_mask: int) -> tuple[Poi
     adj = [graph.adj[v] | (((nbr_mask >> v) & 1) << n) for v in range(n)]
     adj.append(nbr_mask)
     new_cloud = PointCloud(cloud.dim, cloud.points + (x,), cloud.adjacency_sq_dist)
-    return new_cloud, Graph(n + 1, tuple(adj), graph.name)
+    return new_cloud, Graph._trusted(n + 1, tuple(adj), graph.name)
 
 
 def _alpha_after_adding(graph: Graph, cloud: PointCloud, alpha: int, x: Vec,

@@ -51,7 +51,7 @@ def hamming_graph(d: int, u: int) -> tuple[Graph, PointCloud]:
         for m in deltas:
             row |= 1 << (i ^ m)
         adj[i] = row
-    graph = Graph(n, tuple(adj), name=f"C({d},{u})")
+    graph = Graph._trusted(n, tuple(adj), f"C({d},{u})")
     cloud = PointCloud(d, tuple(vector_of(i, d) for i in range(n)), u)
     return graph, cloud
 
@@ -69,7 +69,7 @@ def half_cube(d: int, u: int) -> tuple[Graph, PointCloud]:
     keep_indices = [i for i in range(1 << d) if i.bit_count() % 2 == 0]
     keep = VertexSet(full_graph.n, mask_from_indices(keep_indices))
     sub, _ = induced_subgraph(full_graph, keep)
-    graph = Graph(sub.n, sub.adj, name=f"H({d},{u})")
+    graph = Graph._trusted(sub.n, sub.adj, f"H({d},{u})")
     cloud = PointCloud(d, tuple(vector_of(i, d) for i in keep_indices), u)
     return graph, cloud
 
@@ -83,7 +83,7 @@ def slice_graph(d: int, u: int, s: int) -> tuple[Graph, PointCloud]:
     keep_indices = [i for i in range(1 << d) if i.bit_count() == s]
     keep = VertexSet(full_graph.n, mask_from_indices(keep_indices))
     sub, _ = induced_subgraph(full_graph, keep)
-    graph = Graph(sub.n, sub.adj, name=f"C({d},{u},{s})")
+    graph = Graph._trusted(sub.n, sub.adj, f"C({d},{u},{s})")
     cloud = PointCloud(d, tuple(vector_of(i, d) for i in keep_indices), u)
     return graph, cloud
 

@@ -22,6 +22,15 @@ a vertex moves the neighbors that newly see its color up one bucket with one
 mask operation per bucket, so neither selection nor propagation visits
 vertices one by one.
 
+The public entry points split a disconnected graph into its connected
+components and solve each distinct component once: components whose induced
+subgraphs have identical rows are copies of one another (induced_subgraph
+keeps vertex order, so identical rows are an isomorphism through the sorted
+vertex lists), and one solution serves every copy. Alphas add up, a graph is
+k-colorable when every component is, and chi is the maximum over the
+components. A witness stitched from a reused solution is re-checked on the
+whole graph.
+
 Tie-breaking is everywhere by lowest vertex index, so runs are
 bit-reproducible.
 """
@@ -203,8 +212,9 @@ def _relabel(adj, n: int, order: list[int]) -> list[int]:
     return out
 
 
-def _unrelabel(mask: int, order: list[int]) -> int:
-    """Map a mask over relabelled vertices back to the caller's labels."""
+def _unrelabel(mask: int, order: list[int] | tuple[int, ...]) -> int:
+    """Map a mask over relabelled vertices back to the caller's labels:
+    bit i becomes bit order[i]."""
     out = 0
     while mask:
         low = mask & -mask
@@ -311,23 +321,90 @@ def _complement_rows(g: Graph) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# Connected components and the budget they share
+# ---------------------------------------------------------------------------
+
+
+def _distinct_components(g: Graph) -> list[tuple[Graph, list[tuple[int, ...]]]]:
+    """Each distinct connected component of g once, with the vertices of its copies.
+
+    Components whose induced subgraphs have identical rows are one entry:
+    induced_subgraph keeps the relative order of the kept vertices, so equal
+    rows make the sorted vertex lists an isomorphism, with no further check.
+    Entries come in order of first appearance as (subgraph, copies), where
+    copy[v] is the vertex of g that subgraph vertex v stands for. A connected
+    graph comes back as itself, with the identity as its one copy.
+    """
+    comps = connected_components(g)
+    if len(comps) == 1:
+        return [(g, [tuple(range(g.n))])]
+    groups: dict[tuple[int, ...], tuple[Graph, list[tuple[int, ...]]]] = {}
+    for comp in comps:
+        sub, _ = induced_subgraph(g, comp)
+        groups.setdefault(sub.adj, (sub, []))[1].append(comp.indices())
+    return list(groups.values())
+
+
+def _deadline(opts: SolveOptions) -> float | None:
+    if opts.time_budget is None:
+        return None
+    return time.monotonic() + opts.time_budget
+
+
+def _budget_left(opts: SolveOptions, spent: int, deadline: float | None) -> SolveOptions | None:
+    """What is left of one call's budget after `spent` nodes, or None when nothing is."""
+    node_budget = None if opts.node_budget is None else opts.node_budget - spent
+    time_budget = None if deadline is None else deadline - time.monotonic()
+    if ((node_budget is not None and node_budget < 0)
+            or (time_budget is not None and time_budget <= 0)):
+        return None
+    return SolveOptions(node_budget, time_budget)
+
+
+# ---------------------------------------------------------------------------
 # Public solver entry points
 # ---------------------------------------------------------------------------
 
 
 def max_independent_set(g: Graph, options: SolveOptions | None = None) -> MisResult | MisIncomplete:
-    """Exact alpha(g) with witness, as maximum clique of the complement."""
+    """Exact alpha(g) with witness, as maximum clique of the complement.
+
+    alpha adds up over connected components. Each distinct component is
+    searched once and its witness serves every copy; the call's node budget
+    and deadline are spent across the components in turn. When they run
+    out, the lower bound is the size of the stitched witness, and the upper
+    bound adds each searched component's certified bound and each unsearched
+    component's size, once per copy.
+    """
     opts = options or SolveOptions()
     t0 = time.perf_counter()
-    if g.n == 0:
-        return MisResult(0, VertexSet.empty(0), 0, time.perf_counter() - t0)
-    value, mask, nodes, status, upper = _max_clique_masks(
-        _complement_rows(g), g.n, options=opts)
+    deadline = _deadline(opts)
+    bits = nodes = upper = 0
+    complete = True
+    reused = False
+    for sub, copies in _distinct_components(g):
+        left = _budget_left(opts, nodes, deadline)
+        if left is None:
+            complete = False
+            upper += sub.n * len(copies)
+            continue
+        value, mask, sub_nodes, status, sub_upper = _max_clique_masks(
+            _complement_rows(sub), sub.n, options=left)
+        nodes += sub_nodes
+        if status != "complete":
+            complete = False
+            value = min(sub_upper, sub.n)
+        upper += value * len(copies)
+        for copy in copies:
+            bits |= _unrelabel(mask, copy)
+        reused = reused or len(copies) > 1
+    witness = VertexSet(g.n, bits)
+    if reused and not check_independent_set(g, witness):
+        raise RuntimeError("stitched independent set failed its re-check")
     elapsed = time.perf_counter() - t0
-    witness = VertexSet(g.n, mask)
-    if status == "complete":
-        return MisResult(value, witness, nodes, elapsed)
-    return MisIncomplete(value, min(upper, g.n), witness, nodes, elapsed)
+    if complete:
+        return MisResult(len(witness), witness, nodes, elapsed)
+    return MisIncomplete(len(witness), upper, witness, nodes, elapsed)
 
 
 def alpha_vertex_transitive(g: Graph, pivot: int,
@@ -496,6 +573,38 @@ def greedy_coloring_bound(g: Graph, order: str = "dsatur") -> tuple[int, tuple[i
 def k_colorable(g: Graph, k: int, options: SolveOptions | None = None) -> KColorOutcome:
     """Complete k-colorability decision with a witness when colorable.
 
+    g is k-colorable when each connected component is. Each distinct
+    component is decided once and its coloring serves every copy; the call's
+    node budget and deadline are spent across the components in turn, and
+    the first component that is "uncolorable" or "unknown" decides.
+    """
+    opts = options or SolveOptions()
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    deadline = _deadline(opts)
+    coloring = [0] * g.n
+    nodes = 0
+    reused = False
+    for sub, copies in _distinct_components(g):
+        left = _budget_left(opts, nodes, deadline)
+        if left is None:
+            return KColorOutcome("unknown", None, nodes)
+        outcome = _k_color(sub, k, left)
+        nodes += outcome.nodes_explored
+        if outcome.status != "colorable":
+            return KColorOutcome(outcome.status, None, nodes)
+        for copy in copies:
+            for v, c in zip(copy, outcome.coloring):
+                coloring[v] = c
+        reused = reused or len(copies) > 1
+    if reused and not check_coloring(g, coloring, k):
+        raise RuntimeError("stitched coloring failed its re-check")
+    return KColorOutcome("colorable", tuple(coloring), nodes)
+
+
+def _k_color(g: Graph, k: int, opts: SolveOptions) -> KColorOutcome:
+    """k-colorability of one graph with n >= 1 and k >= 1.
+
     Depth-first search with DSATUR vertex selection over bit masks: forb[c]
     holds the vertices with a neighbor of color c, and bucket[s] the uncolored
     vertices with exactly s forbidden colors, so selection reads the top
@@ -506,12 +615,7 @@ def k_colorable(g: Graph, k: int, options: SolveOptions | None = None) -> KColor
     is forced. The search keeps an explicit stack, so its depth is not bounded
     by the interpreter's recursion limit.
     """
-    opts = options or SolveOptions()
-    if k < 1:
-        raise ValueError("k must be at least 1")
     n = g.n
-    if n == 0:
-        return KColorOutcome("colorable", (), 0)
     greedy_k, greedy_cols = greedy_coloring_bound(g, "dsatur")
     if greedy_k <= k:
         return KColorOutcome("colorable", greedy_cols, 0)
@@ -582,21 +686,21 @@ def _chi_connected(g: Graph, opts: SolveOptions, deadline: float | None) -> Colo
     lower = clique_lower_bound(g)
     if lower == upper:  # a clique as large as the coloring closes chi
         return ColoringResult(upper, upper_coloring, 0)
-    nodes = 0
 
     def remaining() -> float | None:
         if deadline is None:
             return None
         return max(deadline - time.monotonic(), 0.001)
 
-    mis = max_independent_set(g, replace(opts, time_budget=remaining()))
-    nodes += mis.nodes_explored
-    alpha_high = mis.alpha if isinstance(mis, MisResult) else mis.upper_bound
-    lower = max(lower, ratio_lower_bound(g.n, alpha_high))
+    alpha, _, nodes, status, alpha_upper = _max_clique_masks(
+        _complement_rows(g), g.n, options=replace(opts, time_budget=remaining()))
+    if status != "complete":
+        alpha = min(alpha_upper, g.n)
+    lower = max(lower, ratio_lower_bound(g.n, alpha))
 
     k = lower
     while k < upper:
-        outcome = k_colorable(g, k, replace(opts, time_budget=remaining()))
+        outcome = _k_color(g, k, replace(opts, time_budget=remaining()))
         nodes += outcome.nodes_explored
         if outcome.status == "colorable":
             return ColoringResult(k, outcome.coloring, nodes)
@@ -609,35 +713,32 @@ def _chi_connected(g: Graph, opts: SolveOptions, deadline: float | None) -> Colo
 def chromatic_number(g: Graph, options: SolveOptions | None = None) -> ColoringResult | ChiBracket:
     """Exact chi(g), or the surviving bracket when a budget is exceeded.
 
-    Components are solved independently (the chromatic number of a graph is
-    the maximum over its connected components) and their colorings are
-    stitched back together.
+    chi(g) is the maximum over the connected components. Each distinct
+    component is solved once and its coloring serves every copy. Every
+    search gets the full node budget, and all of them share one deadline.
     """
     opts = options or SolveOptions()
-    if g.n == 0:
-        return ColoringResult(0, (), 0)
-    deadline = (time.monotonic() + opts.time_budget) if opts.time_budget else None
-
+    deadline = _deadline(opts)
     coloring = [0] * g.n
-    lower = 0
-    upper = 0
-    nodes = 0
+    lower = upper = nodes = 0
     exact = True
-    for comp in connected_components(g):
-        sub, index_map = induced_subgraph(g, comp)
+    reused = False
+    for sub, copies in _distinct_components(g):
         res = _chi_connected(sub, opts, deadline)
         nodes += res.nodes_explored
         if isinstance(res, ColoringResult):
             lower = max(lower, res.chi)
             upper = max(upper, res.chi)
-            sub_coloring = res.coloring
         else:
             exact = False
             lower = max(lower, res.lower)
             upper = max(upper, res.upper)
-            sub_coloring = res.coloring
-        for old, new in index_map.items():
-            coloring[old] = sub_coloring[new]
+        for copy in copies:
+            for v, c in zip(copy, res.coloring):
+                coloring[v] = c
+        reused = reused or len(copies) > 1
+    if reused and not check_coloring(g, coloring, upper):
+        raise RuntimeError("stitched coloring failed its re-check")
     if exact:
         return ColoringResult(upper, tuple(coloring), nodes)
     return ChiBracket(lower, upper, tuple(coloring), nodes)

@@ -91,6 +91,14 @@ class TestAlpha:
         assert "incomplete" in out
         assert "alpha_lower=" in out and "alpha_upper=" in out
 
+    def test_alpha_solves_c86_one_half_at_a_time(self, capsys, tmp_path):
+        prefix = tmp_path / "c86"
+        code, _, _ = run(capsys, "build", "cube", "-d", "8", "-u", "6", "-o", str(prefix))
+        assert code == EXIT_OK
+        code, out, _ = run(capsys, "alpha", f"{prefix}.graph", "--budget-nodes", "50000")
+        assert code == EXIT_OK
+        assert "result alpha=58 " in out
+
     def test_alpha_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "alpha", str(tmp_path / "nope.graph"))
         assert code == EXIT_INVALID
@@ -166,6 +174,33 @@ class TestTable:
         assert code == EXIT_OK
         row = [ln for ln in out.splitlines() if ln.strip().startswith("7")][0]
         assert "≥" in row
+
+
+class TestInvalidInput:
+    # Each bad value is refused with one error line and exit code 2.
+    @pytest.mark.parametrize("argv", [
+        ("-u", "2", "-d", "x..3"),
+        ("-u", "2", "-d", "-1"),
+        ("-u", "0", "-d", "3"),
+        ("-u", "2", "-d", "17"),
+        ("-u", "2", "-d", "5..3"),
+        ("-u", "2", "-d", "3", "--budget-nodes", "-5"),
+        ("-u", "2", "-d", "3", "--budget-seconds", "-1"),
+    ], ids=["d-not-a-range", "d-negative", "u-zero", "d-above-cap", "d-empty-range",
+            "negative-nodes", "negative-seconds"])
+    def test_table(self, capsys, argv):
+        code, out, err = run(capsys, "table", *argv)
+        assert code == EXIT_INVALID
+        assert err.startswith("error message=") and len(err.splitlines()) == 1
+        assert out.startswith("config ") and len(out.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["alpha", "chi"])
+    @pytest.mark.parametrize("flag", [("--budget-nodes", "-5"), ("--budget-seconds", "-1")],
+                             ids=["negative-nodes", "negative-seconds"])
+    def test_solve_budgets(self, capsys, h52_file, command, flag):
+        code, _, err = run(capsys, command, str(h52_file), *flag)
+        assert code == EXIT_INVALID
+        assert err.startswith("error message=") and len(err.splitlines()) == 1
 
 
 class TestAugmentAndVerify:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import unitdist as ud
+from unitdist import e8
 from unitdist.core import DuplicatePointError, sq_dist
 
 from conftest import random_graph
@@ -132,6 +133,45 @@ class TestInducedSubgraph:
             inside = set(keep_ids)
             expect = sum(1 for i, j in g.edges() if i in inside and j in inside)
             assert sub.edge_count() == expect
+
+
+def revalidated(g: ud.Graph) -> ud.Graph:
+    """g rebuilt through the public constructor, which re-checks every row."""
+    return ud.Graph(g.n, g.adj, g.name)
+
+
+class TestTrustedBuilders:
+    # The package's builders skip the symmetry check; the public constructor
+    # runs it again on their rows.
+    def test_families(self, g0_pair):
+        graphs = [g0_pair[0]]
+        for d in range(1, 9):
+            for u in range(1, d + 1):
+                graphs.append(ud.hamming_graph(d, u)[0])
+                graphs.append(ud.slice_graph(d, u, d // 2)[0])
+                if u % 2 == 0:
+                    graphs.append(ud.half_cube(d, u)[0])
+        for g in graphs:
+            assert revalidated(g) == g
+
+    def test_random_subgraphs_point_graphs_and_extensions(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            n = rng.randrange(1, 25)
+            g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+            sub, _ = ud.induced_subgraph(
+                g, g.vertex_set([v for v in range(n) if rng.random() < 0.6]))
+            assert revalidated(sub) == sub
+
+            points = list(dict.fromkeys(
+                tuple(rng.randrange(-2, 3) for _ in range(3)) for _ in range(n + 1)))
+            cloud = ud.PointCloud(3, tuple(points[:-1]), rng.choice([1, 2, 5]))
+            base = ud.graph_from_points(cloud)
+            assert revalidated(base) == base
+            x = points[-1]
+            new_cloud, grown = e8._extend(cloud, base, x, e8._neighbor_mask(cloud, x))
+            assert revalidated(grown) == grown
+            assert grown == ud.graph_from_points(new_cloud)
 
 
 class TestDegreeProfile:

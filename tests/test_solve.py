@@ -4,7 +4,8 @@ import sys
 import pytest
 
 import unitdist as ud
-from unitdist.solve import _max_clique_masks, SolveOptions
+from unitdist import solve
+from unitdist.solve import _distinct_components, _max_clique_masks, SolveOptions
 
 from conftest import random_graph
 from oracles import (
@@ -19,6 +20,27 @@ from oracles import (
 
 def complete_graph(n: int) -> ud.Graph:
     return ud.Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def disjoint_union(graphs, labels) -> ud.Graph:
+    """Union of graphs; labels[i][v] is the union's vertex for vertex v of graphs[i]."""
+    n = sum(g.n for g in graphs)
+    return ud.Graph.from_edges(n, [(lab[i], lab[j]) for g, lab in zip(graphs, labels)
+                                   for i, j in g.edges()])
+
+
+def interleaved_labels(rng: random.Random, sizes, keep_order: bool) -> list[list[int]]:
+    """Labels that interleave the parts of a union at random. With keep_order
+    each part's vertices keep their relative order; otherwise they are shuffled."""
+    slots = [i for i, size in enumerate(sizes) for _ in range(size)]
+    rng.shuffle(slots)
+    labels: list[list[int]] = [[] for _ in sizes]
+    for vertex, part in enumerate(slots):
+        labels[part].append(vertex)
+    if not keep_order:
+        for lab in labels:
+            rng.shuffle(lab)
+    return labels
 
 
 class TestOracleSanity:
@@ -104,12 +126,56 @@ class TestMaxIndependentSet:
         assert ud.check_independent_set(g, res.witness)
 
     def test_deep_clique_leaves_recursion_limit_alone(self):
-        # alpha 1500: the complement's clique search is 1500 vertices deep
+        # A star is connected, and its 1499 leaves are independent: the
+        # complement's clique search is 1499 vertices deep.
         n = 1500
         limit = sys.getrecursionlimit()
-        res = ud.max_independent_set(ud.Graph(n, (0,) * n))
-        assert isinstance(res, ud.MisResult) and res.alpha == n
+        res = ud.max_independent_set(ud.Graph.from_edges(n, [(0, v) for v in range(1, n)]))
+        assert isinstance(res, ud.MisResult) and res.alpha == n - 1
         assert sys.getrecursionlimit() == limit
+
+    def test_c86_solved_one_half_at_a_time(self):
+        g, _ = ud.hamming_graph(8, 6)
+        res = ud.max_independent_set(g, ud.SolveOptions(node_budget=50_000))
+        assert isinstance(res, ud.MisResult)
+        assert res.alpha == 58 and res.nodes_explored == 15313
+        assert len(res.witness) == 58 and ud.check_independent_set(g, res.witness)
+
+    def test_c94_solved_one_half_at_a_time(self):
+        g, _ = ud.hamming_graph(9, 4)
+        res = ud.max_independent_set(g, ud.SolveOptions(node_budget=50_000))
+        assert isinstance(res, ud.MisResult)
+        assert res.alpha == 36 and res.nodes_explored == 5696
+        assert len(res.witness) == 36 and ud.check_independent_set(g, res.witness)
+
+    def test_budget_spent_across_components(self, slice1045):
+        # C(10,4,5) (alpha 12) then two 5-cycles (alpha 2 each): the budget
+        # runs out in the first component, so the cycles are never searched
+        # and count with their size.
+        big, _ = slice1045
+        cycle = ud.Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+        g = disjoint_union([big, cycle, cycle],
+                           [range(252), range(252, 257), range(257, 262)])
+        budget = 300
+        res = ud.max_independent_set(g, ud.SolveOptions(node_budget=budget))
+        alone = ud.max_independent_set(big, ud.SolveOptions(node_budget=budget))
+        assert isinstance(res, ud.MisIncomplete) and isinstance(alone, ud.MisIncomplete)
+        assert res.lower_bound <= 16 <= res.upper_bound
+        assert res.upper_bound == alone.upper_bound + 10
+        assert res.witness.bits == alone.witness.bits
+        assert len(res.witness) == res.lower_bound
+        assert ud.check_independent_set(g, res.witness)
+        assert res.nodes_explored <= budget + 256
+
+    def test_budget_on_repeated_components(self):
+        g, _ = ud.hamming_graph(9, 4)
+        budget = 1000
+        res = ud.max_independent_set(g, ud.SolveOptions(node_budget=budget))
+        assert isinstance(res, ud.MisIncomplete)
+        assert res.lower_bound <= 36 <= res.upper_bound
+        assert len(res.witness) == res.lower_bound
+        assert ud.check_independent_set(g, res.witness)
+        assert res.nodes_explored <= budget + 256
 
     def test_budgeted_solve_leaves_recursion_limit_alone(self):
         g, _ = ud.half_cube(10, 4)
@@ -139,6 +205,15 @@ class TestAlphaVertexTransitive:
         g = complete_graph(5)
         for pivot in range(5):
             assert ud.alpha_vertex_transitive(g, pivot).alpha == 1
+
+    def test_c86_pivot_subgraph_split_into_components(self):
+        # The pivot's non-neighbors are 99 vertices of its own half plus the
+        # whole other half; each is searched on its own.
+        g, _ = ud.hamming_graph(8, 6)
+        res = ud.alpha_vertex_transitive(g, 0, ud.SolveOptions(node_budget=50_000))
+        assert isinstance(res, ud.MisResult)
+        assert res.alpha == 58 and res.nodes_explored == 18380
+        assert 0 in res.witness and ud.check_independent_set(g, res.witness)
 
     def test_pivot_out_of_range(self, h52):
         with pytest.raises(ValueError):
@@ -232,7 +307,7 @@ class TestKColorable:
         g, _ = ud.hamming_graph(8, 6)
         out = ud.k_colorable(g, 7)
         assert out.status == "colorable"
-        assert out.nodes_explored == 6103
+        assert out.nodes_explored == 3052
         assert ud.check_coloring(g, out.coloring, 7)
 
 
@@ -282,7 +357,7 @@ class TestChromaticNumber:
         g, _ = ud.hamming_graph(7, 6)
         res = ud.chromatic_number(g)
         assert isinstance(res, ud.ColoringResult)
-        assert res.chi == 4 and res.nodes_explored == 13056
+        assert res.chi == 4 and res.nodes_explored == 6528
         assert ud.check_coloring(g, res.coloring, 4)
 
     def test_clique_meeting_dsatur_closes_without_search(self):
@@ -304,6 +379,69 @@ class TestChromaticNumber:
             assert isinstance(res, ud.ColoringResult)
             assert res.chi == (2 if edges else 1) and res.nodes_explored == 0
             assert ud.check_coloring(g, res.coloring, res.chi)
+
+
+class TestComponents:
+    def test_disjoint_unions_match_oracles(self):
+        # Repeated copies, different components and interleaved labels; alpha,
+        # chi and k-colorability against the brute-force oracles.
+        rng = random.Random(606)
+        reused = 0
+        for trial in range(120):
+            pieces = [random_graph(rng, rng.randrange(1, 5), rng.choice([0.4, 0.7, 1.0]))
+                      for _ in range(rng.randrange(1, 4))]
+            parts = [p for p in pieces for _ in range(rng.randrange(1, 4))]
+            while sum(p.n for p in parts) > 12:
+                parts.pop()
+            labels = interleaved_labels(rng, [p.n for p in parts], keep_order=trial % 3 != 0)
+            g = disjoint_union(parts, labels)
+            reused += any(len(copies) > 1 for _, copies in _distinct_components(g))
+
+            mis = ud.max_independent_set(g)
+            assert isinstance(mis, ud.MisResult) and mis.alpha == brute_alpha(g)
+            assert len(mis.witness) == mis.alpha
+            assert ud.check_independent_set(g, mis.witness)
+
+            chi = ud.chromatic_number(g)
+            assert isinstance(chi, ud.ColoringResult) and chi.chi == brute_chi(g)
+            assert ud.check_coloring(g, chi.coloring, chi.chi)
+
+            for k in range(1, chi.chi + 2):
+                out = ud.k_colorable(g, k)
+                assert out.status == ("colorable" if k >= chi.chi else "uncolorable")
+                if out.coloring is not None:
+                    assert ud.check_coloring(g, out.coloring, k)
+        assert reused >= 40
+
+    def test_distinct_components_of_even_cubes(self):
+        for d, u, size, copies in ((4, 4, 2, 8), (6, 6, 2, 32), (8, 6, 128, 2)):
+            g, _ = ud.hamming_graph(d, u)
+            ((sub, maps),) = _distinct_components(g)
+            assert sub.n == size and len(maps) == copies
+            assert sorted(v for m in maps for v in m) == list(range(g.n))
+
+    def test_connected_graph_returned_as_itself(self, slice1045):
+        g, _ = slice1045
+        assert _distinct_components(g) == [(g, [tuple(range(g.n))])]
+
+    def test_chi_connected_runs_once_per_distinct_component(self, monkeypatch):
+        sizes = []
+        real = solve._chi_connected
+
+        def counting(g, opts, deadline):
+            sizes.append(g.n)
+            return real(g, opts, deadline)
+
+        monkeypatch.setattr(solve, "_chi_connected", counting)
+        g86, _ = ud.hamming_graph(8, 6)
+        res = ud.chromatic_number(g86, ud.SolveOptions(node_budget=1000))
+        assert sizes == [128]
+        assert ud.check_coloring(g86, res.coloring, res.upper)
+        sizes.clear()
+        g66, _ = ud.hamming_graph(6, 6)  # 32 copies of K2
+        res = ud.chromatic_number(g66)
+        assert sizes == [2]
+        assert res.chi == 2 and ud.check_coloring(g66, res.coloring, 2)
 
 
 class TestGreedyColoringBound:
