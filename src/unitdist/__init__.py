@@ -54,7 +54,6 @@ from .solve import (
     chromatic_number,
     clique_lower_bound,
     greedy_coloring_bound,
-    independent_set_decision,
     k_colorable,
     max_independent_set,
 )

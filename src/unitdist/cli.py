@@ -164,7 +164,7 @@ def _load_pool(args, cloud) -> e8.CandidatePool:
                 raise formats.FormatError(f"pool point {x} listed twice", line=line_no)
             seen.add(x)
             points.append(x)
-        return e8.CandidatePool(tuple(points), e8.BALL_SQ_RADIUS, order="file")
+        return e8.CandidatePool(tuple(points), e8.BALL_SQ_RADIUS)
     pool = e8.enumerate_ball()
     if args.order == "lex":
         return pool
@@ -172,11 +172,11 @@ def _load_pool(args, cloud) -> e8.CandidatePool:
         keyed = sorted(
             pool.points,
             key=lambda x: (-e8._neighbor_mask(cloud, x).bit_count(), x))
-        return e8.CandidatePool(tuple(keyed), pool.sq_radius, order="degree")
+        return e8.CandidatePool(tuple(keyed), pool.sq_radius)
     rng = random.Random(args.seed)
     shuffled = list(pool.points)
     rng.shuffle(shuffled)
-    return e8.CandidatePool(tuple(shuffled), pool.sq_radius, order=f"random:{args.seed}")
+    return e8.CandidatePool(tuple(shuffled), pool.sq_radius)
 
 
 def cmd_augment(args) -> int:

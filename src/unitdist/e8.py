@@ -25,14 +25,13 @@ from .core import (
     PointCloud,
     VertexSet,
     graph_from_points,
-    induced_subgraph,
-    iter_bits,
     ratio_lower_bound,
     sq_dist,
 )
 from .solve import (
     MisResult,
     SolveOptions,
+    _Budget,
     _complement_rows,
     _max_clique_masks,
     check_independent_set,
@@ -114,7 +113,6 @@ class CandidatePool:
 
     points: tuple[Vec, ...]
     sq_radius: int
-    order: str = "lex"
 
 
 def enumerate_ball(sq_radius: int = BALL_SQ_RADIUS, dim: int = 8) -> CandidatePool:
@@ -186,17 +184,14 @@ def _alpha_after_adding(graph: Graph, cloud: PointCloud, alpha: int, x: Vec,
     """
     if nbr == 0:
         return alpha + 1, 0
-    non_nbr = graph.full_mask & ~nbr
-    sub, index_map = induced_subgraph(graph, VertexSet(graph.n, non_nbr))
     _, mask, nodes, status, _ = _max_clique_masks(
-        _complement_rows(sub), sub.n, initial_best=alpha - 1, stop_at=alpha,
-        options=options)
+        _complement_rows(graph), graph.full_mask & ~nbr, initial_best=alpha - 1,
+        stop_at=alpha, budget=_Budget(options))
     if status == "budget":
         raise TimeoutError(f"solver budget exhausted while testing point {x}")
     if status == "complete":
         return alpha, nodes
-    back = list(index_map)  # new index -> old index, in increasing order
-    witness = VertexSet(graph.n, sum(1 << back[v] for v in iter_bits(mask)))
+    witness = VertexSet(graph.n, mask)
     if (len(witness) != alpha or not check_independent_set(graph, witness)
             or any(sq_dist(cloud.points[v], x) == cloud.adjacency_sq_dist
                    for v in witness)):

@@ -212,7 +212,7 @@ def read_independent_set_witness(path, graph_path) -> VertexSet:
         if parts[0] == "s":
             if len(parts) != 4 or parts[1] != "independent-set":
                 raise FormatError("malformed witness header", line=line_no)
-            size = int(parts[2])
+            (size,) = _ints(parts[2:3], line_no)
             if parts[3] != digest:
                 raise FormatError("witness does not match graph", line=line_no)
             continue
@@ -262,7 +262,7 @@ def read_coloring_witness(path, graph_path) -> tuple[int, ...]:
         if parts[0] == "s":
             if len(parts) != 4 or parts[1] != "coloring":
                 raise FormatError("malformed witness header", line=line_no)
-            k = int(parts[2])
+            (k,) = _ints(parts[2:3], line_no)
             if parts[3] != digest:
                 raise FormatError("witness does not match graph", line=line_no)
             continue

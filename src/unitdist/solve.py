@@ -22,6 +22,9 @@ a vertex moves the neighbors that newly see its color up one bucket with one
 mask operation per bucket, so neither selection nor propagation visits
 vertices one by one.
 
+Each public entry point builds one _Budget from its SolveOptions and hands
+that object to every search it makes; no search builds a budget of its own.
+
 The public entry points split a disconnected graph into its connected
 components and solve each distinct component once: components whose induced
 subgraphs have identical rows are copies of one another (induced_subgraph
@@ -37,7 +40,7 @@ bit-reproducible.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (
     Graph,
@@ -55,8 +58,8 @@ class SolveOptions:
 
     Budgets default to unlimited; exceeding one yields an explicit incomplete
     or unknown result, never a silently wrong value. The node budget is
-    enforced in small batches, so the actual node count may overshoot the
-    limit by a few hundred nodes.
+    enforced in batches of 256 nodes, so the actual node count may overshoot
+    the limit by up to 256 nodes.
     """
 
     node_budget: int | None = None
@@ -153,32 +156,40 @@ def check_coloring(g: Graph, coloring: tuple[int, ...], k: int | None = None) ->
 
 
 class _Budget:
-    """Node limit and deadline of one search.
+    """Node limit, deadline and nodes spent of one public call.
 
-    Searches count their own nodes and consult the budget every 256 nodes, so
-    the node count may overshoot the limit by up to 256.
+    Each public entry point, and each augmentation step, builds one from its
+    SolveOptions and passes it to every search it makes. Searches count their own nodes and consult the
+    budget every 256 nodes, so the node count may overshoot the limit by up
+    to 256. A caller whose searches share the node limit adds each search's
+    nodes to `spent`; one that leaves `spent` alone gives every search the
+    full limit under the one deadline.
     """
 
-    __slots__ = ("node_limit", "deadline")
+    __slots__ = ("node_limit", "deadline", "spent")
 
     def __init__(self, options: SolveOptions):
         self.node_limit = options.node_budget
         self.deadline = None
         if options.time_budget is not None:
             self.deadline = time.monotonic() + options.time_budget
+        self.spent = 0
 
-    def exceeded(self, nodes: int) -> bool:
-        return ((self.node_limit is not None and nodes > self.node_limit)
+    def exceeded(self, nodes: int = 0) -> bool:
+        """Whether spent plus `nodes` passes the node limit, or the deadline
+        has passed."""
+        return ((self.node_limit is not None and self.spent + nodes > self.node_limit)
                 or (self.deadline is not None and time.monotonic() > self.deadline))
 
 
-def _degeneracy_order(adj: list[int] | tuple[int, ...], n: int) -> list[int]:
-    """Vertices in smallest-last removal order; ties broken by lowest index."""
-    alive = (1 << n) - 1
-    deg = [(adj[v]).bit_count() for v in range(n)]
+def _degeneracy_order(adj: list[int] | tuple[int, ...], pool: int) -> list[int]:
+    """The vertices of pool in smallest-last removal order, degrees counted
+    inside pool; ties broken by lowest index."""
+    alive = pool
+    deg = [(row & pool).bit_count() for row in adj]
     order = []
-    for _ in range(n):
-        best_v, best_d = -1, n + 1
+    for _ in range(pool.bit_count()):
+        best_v, best_d = -1, len(adj) + 1
         rest = alive
         while rest:
             low = rest & -rest
@@ -196,19 +207,21 @@ def _degeneracy_order(adj: list[int] | tuple[int, ...], n: int) -> list[int]:
     return order
 
 
-def _relabel(adj, n: int, order: list[int]) -> list[int]:
-    pos = [0] * n
+def _relabel(adj, pool: int, order: list[int]) -> list[int]:
+    """The rows of the pool's vertices, restricted to pool, with vertex
+    order[i] renamed i."""
+    pos = [0] * len(adj)
     for i, v in enumerate(order):
         pos[v] = i
-    out = [0] * n
-    for v in range(n):
-        row = adj[v]
+    out = []
+    for v in order:
+        row = adj[v] & pool
         new_row = 0
         while row:
             low = row & -row
             row ^= low
             new_row |= 1 << pos[low.bit_length() - 1]
-        out[pos[v]] = new_row
+        out.append(new_row)
     return out
 
 
@@ -223,9 +236,12 @@ def _unrelabel(mask: int, order: list[int] | tuple[int, ...]) -> int:
     return out
 
 
-def _max_clique_masks(adj, n: int, *, initial_best: int = 0, stop_at: int | None = None,
-                      options: SolveOptions) -> tuple[int, int, int, str, int]:
-    """Maximum clique over bit rows `adj`.
+def _max_clique_masks(adj, pool: int, *, initial_best: int = 0, stop_at: int | None = None,
+                      budget: _Budget) -> tuple[int, int, int, str, int]:
+    """Maximum clique over bit rows `adj`, among the vertices of mask `pool`.
+
+    Only the pool's vertices are ordered, relabelled and searched, and the
+    returned mask is in the labels of `adj`.
 
     initial_best acts as a virtual incumbent: only cliques strictly larger are
     searched for, and the returned value equals initial_best when none exists.
@@ -243,14 +259,14 @@ def _max_clique_masks(adj, n: int, *, initial_best: int = 0, stop_at: int | None
     parent frames, so its depth is not bounded by the interpreter's recursion
     limit.
     """
-    if n == 0:
+    if not pool:
         return (0, 0, 0, "complete", 0)
-    order = _degeneracy_order(adj, n)
-    nbr = _relabel(adj, n, order)
+    order = _degeneracy_order(adj, pool)
+    nbr = _relabel(adj, pool, order)
+    n = len(order)
     full = (1 << n) - 1
     # anti[v + 1] is v's non-neighbor row, so a bit `low` indexes it by low.bit_length().
     anti = [0] + [full ^ nbr[v] ^ (1 << v) for v in range(n)]
-    budget = _Budget(options)
     best, best_mask = initial_best, 0
     nodes = 0
     upper = 0
@@ -321,7 +337,7 @@ def _complement_rows(g: Graph) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Connected components and the budget they share
+# Connected components
 # ---------------------------------------------------------------------------
 
 
@@ -345,22 +361,6 @@ def _distinct_components(g: Graph) -> list[tuple[Graph, list[tuple[int, ...]]]]:
     return list(groups.values())
 
 
-def _deadline(opts: SolveOptions) -> float | None:
-    if opts.time_budget is None:
-        return None
-    return time.monotonic() + opts.time_budget
-
-
-def _budget_left(opts: SolveOptions, spent: int, deadline: float | None) -> SolveOptions | None:
-    """What is left of one call's budget after `spent` nodes, or None when nothing is."""
-    node_budget = None if opts.node_budget is None else opts.node_budget - spent
-    time_budget = None if deadline is None else deadline - time.monotonic()
-    if ((node_budget is not None and node_budget < 0)
-            or (time_budget is not None and time_budget <= 0)):
-        return None
-    return SolveOptions(node_budget, time_budget)
-
-
 # ---------------------------------------------------------------------------
 # Public solver entry points
 # ---------------------------------------------------------------------------
@@ -376,21 +376,19 @@ def max_independent_set(g: Graph, options: SolveOptions | None = None) -> MisRes
     bound adds each searched component's certified bound and each unsearched
     component's size, once per copy.
     """
-    opts = options or SolveOptions()
     t0 = time.perf_counter()
-    deadline = _deadline(opts)
-    bits = nodes = upper = 0
+    budget = _Budget(options or SolveOptions())
+    bits = upper = 0
     complete = True
     reused = False
     for sub, copies in _distinct_components(g):
-        left = _budget_left(opts, nodes, deadline)
-        if left is None:
+        if budget.exceeded():
             complete = False
             upper += sub.n * len(copies)
             continue
-        value, mask, sub_nodes, status, sub_upper = _max_clique_masks(
-            _complement_rows(sub), sub.n, options=left)
-        nodes += sub_nodes
+        value, mask, nodes, status, sub_upper = _max_clique_masks(
+            _complement_rows(sub), sub.full_mask, budget=budget)
+        budget.spent += nodes
         if status != "complete":
             complete = False
             value = min(sub_upper, sub.n)
@@ -403,8 +401,8 @@ def max_independent_set(g: Graph, options: SolveOptions | None = None) -> MisRes
         raise RuntimeError("stitched independent set failed its re-check")
     elapsed = time.perf_counter() - t0
     if complete:
-        return MisResult(len(witness), witness, nodes, elapsed)
-    return MisIncomplete(len(witness), upper, witness, nodes, elapsed)
+        return MisResult(len(witness), witness, budget.spent, elapsed)
+    return MisIncomplete(len(witness), upper, witness, budget.spent, elapsed)
 
 
 def alpha_vertex_transitive(g: Graph, pivot: int,
@@ -417,13 +415,14 @@ def alpha_vertex_transitive(g: Graph, pivot: int,
     The reduced graph need not be vertex-transitive, so the reduction is never
     nested.
     """
-    opts = options or SolveOptions()
     if not 0 <= pivot < g.n:
         raise ValueError(f"pivot {pivot} out of range")
     t0 = time.perf_counter()
     non_neighbors = g.full_mask ^ g.adj[pivot] ^ (1 << pivot)
+    # A subgraph, not a pool mask: the non-neighbors can be disconnected, and
+    # max_independent_set solves each distinct component once.
     sub, index_map = induced_subgraph(g, VertexSet(g.n, non_neighbors))
-    inner = max_independent_set(sub, opts)
+    inner = max_independent_set(sub, options)
     back = {new: old for old, new in index_map.items()}
     lift = (1 << pivot)
     for v in inner.witness:
@@ -434,29 +433,6 @@ def alpha_vertex_transitive(g: Graph, pivot: int,
         return MisResult(inner.alpha + 1, witness, inner.nodes_explored, elapsed)
     return MisIncomplete(inner.lower_bound + 1, min(inner.upper_bound + 1, g.n),
                          witness, inner.nodes_explored, elapsed)
-
-
-def independent_set_decision(g: Graph, target: int,
-                             options: SolveOptions | None = None) -> str:
-    """Does g contain an independent set of size >= target?
-
-    Returns "yes", "no", or "unknown" (budget exceeded). The search stops as
-    soon as any qualifying set is found, so "yes" is usually much cheaper than
-    an exact solve.
-    """
-    opts = options or SolveOptions()
-    if target <= 0:
-        return "yes"
-    if target > g.n:
-        return "no"
-    value, _, _, status, _ = _max_clique_masks(
-        _complement_rows(g), g.n,
-        initial_best=target - 1, stop_at=target, options=opts)
-    if status == "target" or value >= target:
-        return "yes"
-    if status == "complete":
-        return "no"
-    return "unknown"
 
 
 def clique_lower_bound(g: Graph) -> int:
@@ -525,36 +501,23 @@ def _raise_saturation(bucket: list[int], newly: int) -> None:
             bucket[s + 1] |= moved
 
 
-def greedy_coloring_bound(g: Graph, order: str = "dsatur") -> tuple[int, tuple[int, ...]]:
-    """Valid coloring by a greedy policy; (color count, coloring with colors 1..k).
+def greedy_coloring_bound(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Valid DSATUR coloring; (color count, coloring with colors 1..k).
 
-    Policies: "dsatur" (max saturation, tie max degree, tie lowest index),
-    "degree" (static descending degree), "lex" (vertex index order). Each
-    vertex takes its lowest color not used by a neighbor.
+    The next vertex has max saturation, tie max degree, tie lowest index, and
+    takes its lowest color not used by a neighbor.
     """
     n = g.n
     if n == 0:
         return (0, ())
-    if order == "lex":
-        sequence = iter(range(n))
-    elif order == "degree":
-        sequence = iter(sorted(range(n), key=lambda v: (-g.adj[v].bit_count(), v)))
-    elif order == "dsatur":
-        sequence = None
-        levels = _degree_levels(g.adj, n)
-    else:
-        raise ValueError(f"unknown ordering policy {order!r}")
-
+    levels = _degree_levels(g.adj, n)
     colors = [0] * n
     forb: list[int] = []        # forb[c]: vertices with a neighbor of color c
     bucket = [g.full_mask]      # saturation buckets, one more than colors used
     uncolored = g.full_mask
     for _ in range(n):
-        if sequence is None:
-            v, s = _dsatur_select(bucket, levels)
-            bucket[s] ^= 1 << v
-        else:
-            v = next(sequence)
+        v, s = _dsatur_select(bucket, levels)
+        bucket[s] ^= 1 << v
         uncolored ^= 1 << v
         c = 0
         while c < len(forb) and (forb[c] >> v) & 1:
@@ -565,8 +528,7 @@ def greedy_coloring_bound(g: Graph, order: str = "dsatur") -> tuple[int, tuple[i
         colors[v] = c + 1
         newly = g.adj[v] & uncolored & ~forb[c]
         forb[c] |= newly
-        if sequence is None:
-            _raise_saturation(bucket, newly)
+        _raise_saturation(bucket, newly)
     return (len(forb), tuple(colors))
 
 
@@ -578,31 +540,28 @@ def k_colorable(g: Graph, k: int, options: SolveOptions | None = None) -> KColor
     node budget and deadline are spent across the components in turn, and
     the first component that is "uncolorable" or "unknown" decides.
     """
-    opts = options or SolveOptions()
     if k < 1:
         raise ValueError("k must be at least 1")
-    deadline = _deadline(opts)
+    budget = _Budget(options or SolveOptions())
     coloring = [0] * g.n
-    nodes = 0
     reused = False
     for sub, copies in _distinct_components(g):
-        left = _budget_left(opts, nodes, deadline)
-        if left is None:
-            return KColorOutcome("unknown", None, nodes)
-        outcome = _k_color(sub, k, left)
-        nodes += outcome.nodes_explored
+        if budget.exceeded():
+            return KColorOutcome("unknown", None, budget.spent)
+        outcome = _k_color(sub, k, budget)
+        budget.spent += outcome.nodes_explored
         if outcome.status != "colorable":
-            return KColorOutcome(outcome.status, None, nodes)
+            return KColorOutcome(outcome.status, None, budget.spent)
         for copy in copies:
             for v, c in zip(copy, outcome.coloring):
                 coloring[v] = c
         reused = reused or len(copies) > 1
     if reused and not check_coloring(g, coloring, k):
         raise RuntimeError("stitched coloring failed its re-check")
-    return KColorOutcome("colorable", tuple(coloring), nodes)
+    return KColorOutcome("colorable", tuple(coloring), budget.spent)
 
 
-def _k_color(g: Graph, k: int, opts: SolveOptions) -> KColorOutcome:
+def _k_color(g: Graph, k: int, budget: _Budget) -> KColorOutcome:
     """k-colorability of one graph with n >= 1 and k >= 1.
 
     Depth-first search with DSATUR vertex selection over bit masks: forb[c]
@@ -616,7 +575,7 @@ def _k_color(g: Graph, k: int, opts: SolveOptions) -> KColorOutcome:
     by the interpreter's recursion limit.
     """
     n = g.n
-    greedy_k, greedy_cols = greedy_coloring_bound(g, "dsatur")
+    greedy_k, greedy_cols = greedy_coloring_bound(g)
     if greedy_k <= k:
         return KColorOutcome("colorable", greedy_cols, 0)
     if any(g.adj[v] for v in range(n)) and k == 1:
@@ -632,7 +591,6 @@ def _k_color(g: Graph, k: int, opts: SolveOptions) -> KColorOutcome:
     top = k - 1
     max_used = 0
     nodes = 0
-    budget = _Budget(opts)
     # One frame per colored vertex: [vertex, color tried, color limit,
     # max_used on entry, buckets before its coloring, vertices it saturated].
     stack: list[list] = []
@@ -678,29 +636,24 @@ def _k_color(g: Graph, k: int, opts: SolveOptions) -> KColorOutcome:
             return KColorOutcome("uncolorable", None, nodes)
 
 
-def _chi_connected(g: Graph, opts: SolveOptions, deadline: float | None) -> ColoringResult | ChiBracket:
+def _chi_connected(g: Graph, budget: _Budget) -> ColoringResult | ChiBracket:
     """Exact chromatic number of one connected graph by bracket-and-close."""
     if g.edge_count() == 0:
         return ColoringResult(1, (1,) * g.n, 0)
-    upper, upper_coloring = greedy_coloring_bound(g, "dsatur")
+    upper, upper_coloring = greedy_coloring_bound(g)
     lower = clique_lower_bound(g)
     if lower == upper:  # a clique as large as the coloring closes chi
         return ColoringResult(upper, upper_coloring, 0)
 
-    def remaining() -> float | None:
-        if deadline is None:
-            return None
-        return max(deadline - time.monotonic(), 0.001)
-
     alpha, _, nodes, status, alpha_upper = _max_clique_masks(
-        _complement_rows(g), g.n, options=replace(opts, time_budget=remaining()))
+        _complement_rows(g), g.full_mask, budget=budget)
     if status != "complete":
         alpha = min(alpha_upper, g.n)
     lower = max(lower, ratio_lower_bound(g.n, alpha))
 
     k = lower
     while k < upper:
-        outcome = _k_color(g, k, replace(opts, time_budget=remaining()))
+        outcome = _k_color(g, k, budget)
         nodes += outcome.nodes_explored
         if outcome.status == "colorable":
             return ColoringResult(k, outcome.coloring, nodes)
@@ -717,14 +670,13 @@ def chromatic_number(g: Graph, options: SolveOptions | None = None) -> ColoringR
     component is solved once and its coloring serves every copy. Every
     search gets the full node budget, and all of them share one deadline.
     """
-    opts = options or SolveOptions()
-    deadline = _deadline(opts)
+    budget = _Budget(options or SolveOptions())
     coloring = [0] * g.n
     lower = upper = nodes = 0
     exact = True
     reused = False
     for sub, copies in _distinct_components(g):
-        res = _chi_connected(sub, opts, deadline)
+        res = _chi_connected(sub, budget)
         nodes += res.nodes_explored
         if isinstance(res, ColoringResult):
             lower = max(lower, res.chi)

@@ -136,8 +136,8 @@ def reference_max_clique(adj, n: int, *, initial_best: int = 0, stop_at: int | N
         return (0, 0, 0, "complete", 0)
     # branch depth is bounded by the clique size, which can reach n
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * n + 200))
-    order = _degeneracy_order(adj, n)
-    nbr = _relabel(adj, n, order)
+    order = _degeneracy_order(adj, (1 << n) - 1)
+    nbr = _relabel(adj, (1 << n) - 1, order)
     budget = _Budget(options)
     order_bufs: list[list[int]] = []
     color_bufs: list[list[int]] = []

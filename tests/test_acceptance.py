@@ -339,7 +339,6 @@ class TestCriterion10Properties:
         assert (chi1.chi, chi1.coloring, chi1.nodes_explored) == \
                (chi2.chi, chi2.coloring, chi2.nodes_explored)
 
-        for order in ("dsatur", "degree", "lex"):
-            assert ud.greedy_coloring_bound(g, order) == ud.greedy_coloring_bound(g, order)
+        assert ud.greedy_coloring_bound(g) == ud.greedy_coloring_bound(g)
         assert ud.clique_lower_bound(g) == ud.clique_lower_bound(g)
         self.pieces.append(f"single-thread determinism {time.perf_counter()-t0:.1f}s")

@@ -172,6 +172,21 @@ class TestWitnessFiles:
         with pytest.raises(FormatError):
             formats.read_coloring_witness(tampered, graph_path)
 
+    @pytest.mark.parametrize("kind, read", [
+        ("independent-set", formats.read_independent_set_witness),
+        ("coloring", formats.read_coloring_witness),
+    ], ids=["independent-set", "coloring"])
+    def test_non_integer_header_count_reports_line(self, tmp_path, kind, read):
+        g = ud.Graph.from_edges(3, [(0, 1)], name="edge")
+        graph_path = tmp_path / "edge.graph"
+        formats.write_graph(g, graph_path)
+        digest = formats.graph_content_hash(graph_path)
+        bad = tmp_path / "bad.witness"
+        bad.write_text(f"s {kind} abc {digest}\nv 1\n")
+        with pytest.raises(FormatError, match=r"'abc'.*\(line 1\)") as err:
+            read(bad, graph_path)
+        assert err.value.line == 1
+
 
 class TestCertificates:
     def test_shipped_certificate_round_trip(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 import unitdist as ud
 from unitdist import solve
-from unitdist.solve import _distinct_components, _max_clique_masks, SolveOptions
+from unitdist.solve import _Budget, _distinct_components, _max_clique_masks, SolveOptions
 
 from conftest import random_graph
 from oracles import (
@@ -233,28 +233,6 @@ class TestAlphaVertexTransitive:
             assert ud.alpha_vertex_transitive(g, 0).alpha == ud.max_independent_set(g).alpha
 
 
-class TestIndependentSetDecision:
-    def test_trivial_targets(self, h52):
-        g, _ = h52
-        assert ud.independent_set_decision(g, 0) == "yes"
-        assert ud.independent_set_decision(g, g.n + 1) == "no"
-
-    def test_at_and_above_alpha(self, h52):
-        g, _ = h52
-        assert ud.independent_set_decision(g, 2) == "yes"
-        assert ud.independent_set_decision(g, 3) == "no"
-
-    def test_matches_oracle(self):
-        rng = random.Random(77)
-        for _ in range(40):
-            n = rng.randrange(4, 15)
-            g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
-            alpha = brute_alpha(g)
-            target = rng.randrange(1, n + 1)
-            expect = "yes" if target <= alpha else "no"
-            assert ud.independent_set_decision(g, target) == expect
-
-
 class TestKColorable:
     def test_c64_six_vs_seven(self):
         g, _ = ud.hamming_graph(6, 4)
@@ -428,9 +406,9 @@ class TestComponents:
         sizes = []
         real = solve._chi_connected
 
-        def counting(g, opts, deadline):
+        def counting(g, budget):
             sizes.append(g.n)
-            return real(g, opts, deadline)
+            return real(g, budget)
 
         monkeypatch.setattr(solve, "_chi_connected", counting)
         g86, _ = ud.hamming_graph(8, 6)
@@ -452,10 +430,9 @@ class TestGreedyColoringBound:
 
     def test_complete_needs_n(self):
         g = complete_graph(6)
-        for order in ("dsatur", "degree", "lex"):
-            count, coloring = ud.greedy_coloring_bound(g, order)
-            assert count == 6
-            assert ud.check_coloring(g, coloring, 6)
+        count, coloring = ud.greedy_coloring_bound(g)
+        assert count == 6
+        assert ud.check_coloring(g, coloring, 6)
 
     def test_c52_recorded_range(self, c52):
         g, _ = c52
@@ -467,7 +444,7 @@ class TestGreedyColoringBound:
         rng = random.Random(66)
         for _ in range(40):
             g = random_graph(rng, rng.randrange(1, 12), 0.5)
-            count, coloring = ud.greedy_coloring_bound(g, rng.choice(["dsatur", "degree", "lex"]))
+            count, coloring = ud.greedy_coloring_bound(g)
             assert ud.check_coloring(g, coloring, count)
             assert count >= brute_chi(g)
 
@@ -478,11 +455,7 @@ class TestGreedyColoringBound:
             graphs.append(random_graph(rng, rng.randrange(1, 40),
                                        rng.choice([0.1, 0.3, 0.6])))
         for g in graphs:
-            assert ud.greedy_coloring_bound(g, "dsatur") == reference_dsatur(g)
-
-    def test_unknown_policy_rejected(self, c52):
-        with pytest.raises(ValueError):
-            ud.greedy_coloring_bound(c52[0], "magic")
+            assert ud.greedy_coloring_bound(g) == reference_dsatur(g)
 
 
 class TestCliqueLowerBound:
@@ -505,33 +478,43 @@ class TestCliqueLowerBound:
         g, _ = g0_pair
         found = ud.clique_lower_bound(g)
         assert 2 <= found <= 8
-        value, _, _, status, _ = _max_clique_masks(list(g.adj), g.n,
-                                                   options=SolveOptions())
+        value, _, _, status, _ = _max_clique_masks(list(g.adj), g.full_mask,
+                                                   budget=_Budget(SolveOptions()))
         assert status == "complete" and value == 8
 
 
 class TestCliqueKernelAgainstRecursiveReference:
     def test_identical_results_on_random_graphs(self):
         # (value, mask, nodes, status, upper) must match the recursive kernel
-        # bit for bit, for every incumbent, target and budget combination.
+        # bit for bit, for every incumbent, target and budget combination,
+        # on the whole graph and inside a random pool mask. The reference
+        # searches the pool's induced subgraph; its witness is mapped back.
         rng = random.Random(2024)
+        pool_rng = random.Random(2025)
         statuses = {"complete": 0, "target": 0, "budget": 0}
         for _ in range(200):
             n = rng.randrange(1, 70)
             g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7, 0.9]))
-            adj = list(g.adj)
-            omega = reference_max_clique(adj, n, options=SolveOptions())[0]
             opts = SolveOptions(node_budget=rng.choice([None, 0, 300]))
-            for initial_best in sorted({0, max(omega - 1, 0), omega}):
-                for stop_at in (None, omega):
-                    got = _max_clique_masks(adj, n, initial_best=initial_best,
-                                            stop_at=stop_at, options=opts)
-                    want = reference_max_clique(adj, n, initial_best=initial_best,
-                                                stop_at=stop_at, options=opts)
-                    assert got == want, (n, initial_best, stop_at, opts)
-                    statuses[got[3]] += 1
-        assert statuses["budget"] >= 20
-        assert statuses["target"] >= 20 and statuses["complete"] >= 20
+            keep = pool_rng.choice([0.0, 0.3, 0.6, 0.9])
+            random_pool = sum(1 << v for v in range(n) if pool_rng.random() < keep)
+            for pool in (g.full_mask, random_pool):
+                sub, index_map = ud.induced_subgraph(g, ud.VertexSet(n, pool))
+                back = list(index_map)  # subgraph vertex -> vertex of g
+                sub_adj = list(sub.adj)
+                omega = reference_max_clique(sub_adj, sub.n, options=SolveOptions())[0]
+                for initial_best in sorted({0, max(omega - 1, 0), omega}):
+                    for stop_at in (None, omega):
+                        got = _max_clique_masks(list(g.adj), pool, initial_best=initial_best,
+                                                stop_at=stop_at, budget=_Budget(opts))
+                        value, mask, nodes, status, upper = reference_max_clique(
+                            sub_adj, sub.n, initial_best=initial_best, stop_at=stop_at,
+                            options=opts)
+                        mapped = sum(1 << back[v] for v in range(sub.n) if mask >> v & 1)
+                        assert got == (value, mapped, nodes, status, upper), (n, pool, opts)
+                        statuses[status] += 1
+        assert statuses["budget"] >= 40
+        assert statuses["target"] >= 40 and statuses["complete"] >= 40
 
 
 class TestComplementDuality:
