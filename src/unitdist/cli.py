@@ -182,6 +182,8 @@ def _load_pool(args, cloud) -> e8.CandidatePool:
 def cmd_augment(args) -> int:
     base_graph, base_cloud = e8.build_g0()
     try:
+        if args.budget_seconds < 0:
+            raise ValueError("negative time budget")
         pool = _load_pool(args, base_cloud)
     except (OSError, ValueError) as exc:
         print(f"error message={exc}", file=sys.stderr)

@@ -135,9 +135,6 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def has_edge(self, i: int, j: int) -> bool:
         return (self.adj[i] >> j) & 1 == 1
 
@@ -242,10 +239,11 @@ def degree_profile(g: Graph) -> tuple[int, int, bool]:
     return (lo, hi, lo == hi)
 
 
-def connected_components(g: Graph) -> list[VertexSet]:
-    """Maximal connected classes, ordered by their smallest vertex index."""
+def connected_components(g: Graph, pool: int | None = None) -> list[VertexSet]:
+    """Maximal connected classes of g, or of its subgraph induced on the
+    vertex mask pool, ordered by their smallest vertex index."""
     comps = []
-    unseen = g.full_mask
+    unseen = g.full_mask if pool is None else pool
     while unseen:
         low = unseen & -unseen
         comp = low
@@ -254,7 +252,7 @@ def connected_components(g: Graph) -> list[VertexSet]:
             grown = 0
             for v in iter_bits(frontier):
                 grown |= g.adj[v]
-            frontier = grown & ~comp
+            frontier = grown & unseen & ~comp
             comp |= frontier
         comps.append(VertexSet(g.n, comp))
         unseen &= ~comp

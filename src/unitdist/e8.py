@@ -13,7 +13,6 @@ which only ever improves the ratio bound ceil(|V|/alpha).
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations
@@ -169,7 +168,7 @@ def _extend(cloud: PointCloud, graph: Graph, x: Vec, nbr_mask: int) -> tuple[Poi
 
 
 def _alpha_after_adding(graph: Graph, cloud: PointCloud, alpha: int, x: Vec,
-                        nbr: int, options: SolveOptions) -> tuple[int, int]:
+                        nbr: int, budget: _Budget) -> tuple[int, int]:
     """(alpha of graph+x, solver nodes), given x's neighbor mask nbr in graph.
 
     alpha(G + x) = max(alpha(G), 1 + alpha(G restricted to non-neighbors of x)),
@@ -181,12 +180,15 @@ def _alpha_after_adding(graph: Graph, cloud: PointCloud, alpha: int, x: Vec,
     with no neighbor is decided without search: any maximum independent set
     plus x is independent. The witness of a stopped search is re-checked on
     the graph and against x's coordinates before the rejection is returned.
+    A budget spent on entry, or one that stops the search, raises TimeoutError.
     """
+    if budget.exceeded():
+        raise TimeoutError(f"solver budget exhausted before testing point {x}")
     if nbr == 0:
         return alpha + 1, 0
     _, mask, nodes, status, _ = _max_clique_masks(
         _complement_rows(graph), graph.full_mask & ~nbr, initial_best=alpha - 1,
-        stop_at=alpha, budget=_Budget(options))
+        stop_at=alpha, budget=budget)
     if status == "budget":
         raise TimeoutError(f"solver budget exhausted while testing point {x}")
     if status == "complete":
@@ -210,7 +212,7 @@ def addition_preserves_alpha(state: AugmentationState, x: Vec,
         raise ValueError(f"point {x} is already a vertex")
     new_alpha, _ = _alpha_after_adding(
         state.graph, state.cloud, state.alpha, x, _neighbor_mask(state.cloud, x),
-        options or SolveOptions())
+        _Budget(options or SolveOptions()))
     return (new_alpha == state.alpha, new_alpha)
 
 
@@ -228,7 +230,6 @@ def augment_greedy(state: AugmentationState, pool, *,
                    max_candidates: int | None = None,
                    max_accepted: int | None = None,
                    time_budget: float | None = None,
-                   options: SolveOptions | None = None,
                    log=None) -> AugmentationState:
     """Accept every pool point, in pool order, whose addition preserves alpha.
 
@@ -238,11 +239,11 @@ def augment_greedy(state: AugmentationState, pool, *,
     rejected without search. Only accepted points pay for a full refutation.
     Points already in the graph are skipped without consuming budget. Budget
     exhaustion terminates the walk with a termination tag distinct from
-    "pool_exhausted".
+    "pool_exhausted". All candidates share one deadline, time_budget seconds
+    away (none if 0); the candidate that meets it ends the walk untested.
     """
-    opts = options or SolveOptions()
+    budget = _Budget(SolveOptions(time_budget=time_budget or None))
     points = pool.points if isinstance(pool, CandidatePool) else tuple(pool)
-    deadline = (time.monotonic() + time_budget) if time_budget else None
 
     cloud, graph, alpha = state.cloud, state.graph, state.alpha
     added = list(state.added)
@@ -261,12 +262,13 @@ def augment_greedy(state: AugmentationState, pool, *,
         if max_accepted is not None and len(added) - len(state.added) >= max_accepted:
             termination = "budget_accepted"
             break
-        if deadline is not None and time.monotonic() > deadline:
+        nbr = _neighbor_mask(cloud, x)
+        try:
+            new_alpha, step_nodes = _alpha_after_adding(graph, cloud, alpha, x, nbr, budget)
+        except TimeoutError:
             termination = "budget_time"
             break
         tested += 1
-        nbr = _neighbor_mask(cloud, x)
-        new_alpha, step_nodes = _alpha_after_adding(graph, cloud, alpha, x, nbr, opts)
         nodes += step_nodes
         if new_alpha == alpha:
             cloud, graph = _extend(cloud, graph, x, nbr)

@@ -18,10 +18,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .core import Graph, PointCloud, VertexSet, ratio_lower_bound
+from .core import DuplicatePointError, Graph, PointCloud, VertexSet, ratio_lower_bound
 from .e8 import Certificate
 from .solve import check_coloring, check_independent_set
 
@@ -40,14 +40,60 @@ class FormatError(ValueError):
         super().__init__(message + where)
 
 
-def _ints(parts: list[str], line_no: int) -> list[int]:
+def _lines(text: str):
+    """Yield (line number, fields) of every line; no format has a blank line."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields:
+            raise FormatError("blank line", line=line_no)
+        yield line_no, fields
+
+
+def _ints(fields: list[str], line_no: int, count: int | None = None, what: str = "") -> list[int]:
+    """The fields as integers; a FormatError at line_no names a non-integer
+    field, or a field count other than `count` (`what` describes them)."""
+    if count is not None and len(fields) != count:
+        raise FormatError(f"expected {count} fields ({what}), got {len(fields)}",
+                          line=line_no)
     out = []
-    for p in parts:
+    for f in fields:
         try:
-            out.append(int(p))
+            out.append(int(f))
         except ValueError:
-            raise FormatError(f"expected integer, got {p!r}", line=line_no) from None
+            raise FormatError(f"expected integer, got {f!r}", line=line_no) from None
     return out
+
+
+def _tagged(text: str, header: str, width: int, name: str, body: str, comments=None):
+    """Yield (line, fields after the kind) of the one header line, whose first
+    fields are `header` (such as "p edge") and `width` more, then (line,
+    fields after the tag) of each `body` line, in file order; `name` names the
+    header in errors. "c" lines go to `comments` when it is given."""
+    tag, kind = header.split()
+    seen = False
+    for line_no, fields in _lines(text):
+        if fields[0] == tag:
+            if seen:
+                raise FormatError(f"duplicate {name}", line=line_no)
+            if len(fields) != width + 2 or fields[1] != kind:
+                raise FormatError(f"malformed {name}", line=line_no)
+            seen = True
+            yield line_no, fields[2:]
+        elif fields[0] == body:
+            if not seen:
+                raise FormatError(f"{body} line before {name}", line=line_no)
+            yield line_no, fields[1:]
+        elif fields[0] == "c" and comments is not None:
+            comments.append(fields[1:])
+        else:
+            raise FormatError(f"unknown line type {fields[0]!r}", line=line_no)
+    if not seen:
+        raise FormatError(f"missing {name}", offset=len(text.encode()))
+
+
+def _render(head: list[str], rows) -> str:
+    """The head lines, then one line per row of tokens; newline-terminated."""
+    return "\n".join(head + [" ".join(map(str, row)) for row in rows]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -56,65 +102,36 @@ def _ints(parts: list[str], line_no: int) -> list[int]:
 
 
 def serialize_graph(g: Graph) -> str:
-    lines = []
-    if g.name:
-        lines.append(f"c name {g.name}")
-    lines.append(f"p edge {g.n} {g.edge_count()}")
-    for i, j in g.edges():
-        lines.append(f"e {i + 1} {j + 1}")
-    return "\n".join(lines) + "\n"
+    head = [f"c name {g.name}"] if g.name else []
+    head.append(f"p edge {g.n} {g.edge_count()}")
+    return _render(head, (("e", i + 1, j + 1) for i, j in g.edges()))
 
 
 def parse_graph(text: str) -> Graph:
-    name = ""
-    n = None
-    declared_edges = None
+    comments: list[list[str]] = []
+    rows = _tagged(text, "p edge", 2, "problem line", "e", comments)
+    line, head = next(rows)
+    n, declared_edges = _ints(head, line)
+    if n < 0 or declared_edges < 0:
+        raise FormatError("negative counts in problem line", line=line)
     edges: list[tuple[int, int]] = []
-    last = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            raise FormatError("blank line", line=line_no)
-        parts = line.split()
-        kind = parts[0]
-        if kind == "c":
-            if parts[1:2] == ["name"]:
-                name = " ".join(parts[2:])
-            continue
-        if kind == "p":
-            if n is not None:
-                raise FormatError("duplicate problem line", line=line_no)
-            if len(parts) != 4 or parts[1] != "edge":
-                raise FormatError("malformed problem line", line=line_no)
-            n, declared_edges = _ints(parts[2:], line_no)
-            if n < 0 or declared_edges < 0:
-                raise FormatError("negative counts in problem line", line=line_no)
-            continue
-        if kind == "e":
-            if n is None:
-                raise FormatError("edge before problem line", line=line_no)
-            if len(parts) != 3:
-                raise FormatError("malformed edge line", line=line_no)
-            i, j = _ints(parts[1:], line_no)
-            if i == j:
-                raise FormatError(f"self-loop e {i} {j}", line=line_no)
-            if not (1 <= i < j <= n):
-                raise FormatError(f"edge e {i} {j} not in canonical 1..{n} order",
-                                  line=line_no)
-            pair = (i - 1, j - 1)
-            if last is not None and pair <= last:
-                raise FormatError("edges out of sorted order or duplicated", line=line_no)
-            last = pair
-            edges.append(pair)
-            continue
-        raise FormatError(f"unknown line type {kind!r}", line=line_no)
-    if n is None:
-        raise FormatError("missing problem line", offset=len(text.encode()))
+    for line_no, fields in rows:
+        i, j = _ints(fields, line_no, 2, "i j")
+        if i == j:
+            raise FormatError(f"self-loop e {i} {j}", line=line_no)
+        if not (1 <= i < j <= n):
+            raise FormatError(f"edge e {i} {j} not in canonical 1..{n} order",
+                              line=line_no)
+        pair = (i - 1, j - 1)
+        if edges and pair <= edges[-1]:
+            raise FormatError("edges out of sorted order or duplicated", line=line_no)
+        edges.append(pair)
     if len(edges) != declared_edges:
         raise FormatError(
             f"problem line declares {declared_edges} edges, found {len(edges)}",
             offset=len(text.encode()))
-    return Graph.from_edges(n, edges, name=name)
+    names = [" ".join(fields[1:]) for fields in comments if fields[:1] == ["name"]]
+    return Graph.from_edges(n, edges, name=names[-1] if names else "")
 
 
 def write_graph(g: Graph, path) -> None:
@@ -135,46 +152,32 @@ def graph_content_hash(path) -> str:
 
 
 def serialize_point_cloud(cloud: PointCloud) -> str:
-    lines = [f"p coords {len(cloud.points)} {cloud.dim} {cloud.adjacency_sq_dist}"]
-    for idx, point in enumerate(cloud.points, start=1):
-        lines.append("v " + " ".join(str(c) for c in (idx, *point)))
-    return "\n".join(lines) + "\n"
+    head = [f"p coords {len(cloud.points)} {cloud.dim} {cloud.adjacency_sq_dist}"]
+    return _render(head, (("v", idx, *point)
+                          for idx, point in enumerate(cloud.points, start=1)))
 
 
 def parse_point_cloud(text: str) -> PointCloud:
-    header = None
+    rows = _tagged(text, "p coords", 3, "coords header", "v")
+    line, head = next(rows)
+    count, dim, sq = _ints(head, line)
+    try:
+        PointCloud(dim, (), sq)
+    except ValueError as err:
+        raise FormatError(f"invalid coords header: {err}", line=line) from err
     points: list[tuple[int, ...]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.strip().split()
-        if not parts:
-            raise FormatError("blank line", line=line_no)
-        if parts[0] == "p":
-            if header is not None:
-                raise FormatError("duplicate header", line=line_no)
-            if len(parts) != 5 or parts[1] != "coords":
-                raise FormatError("malformed coords header", line=line_no)
-            header = _ints(parts[2:], line_no)
-            continue
-        if parts[0] == "v":
-            if header is None:
-                raise FormatError("vertex line before header", line=line_no)
-            vals = _ints(parts[1:], line_no)
-            if len(vals) != header[1] + 1:
-                raise FormatError(
-                    f"expected index plus {header[1]} coordinates", line=line_no)
-            if vals[0] != len(points) + 1:
-                raise FormatError(
-                    f"vertex index {vals[0]} out of order", line=line_no)
-            points.append(tuple(vals[1:]))
-            continue
-        raise FormatError(f"unknown line type {parts[0]!r}", line=line_no)
-    if header is None:
-        raise FormatError("missing coords header", offset=len(text.encode()))
-    count, dim, sq = header
+    for line_no, fields in rows:
+        index, *point = _ints(fields, line_no, dim + 1, f"index plus {dim} coordinates")
+        if index != len(points) + 1:
+            raise FormatError(f"vertex index {index} out of order", line=line_no)
+        points.append(tuple(point))
     if len(points) != count:
         raise FormatError(f"header declares {count} points, found {len(points)}",
                           offset=len(text.encode()))
-    return PointCloud(dim, tuple(points), sq)
+    try:
+        return PointCloud(dim, tuple(points), sq)
+    except DuplicatePointError as err:  # point i is on line i + 1 after the header
+        raise FormatError(str(err), line=line + 1 + err.indices[1]) from err
 
 
 def write_point_cloud(cloud: PointCloud, path) -> None:
@@ -190,100 +193,67 @@ def read_point_cloud(path) -> PointCloud:
 # ---------------------------------------------------------------------------
 
 
+def _write_witness(path, graph_path, kind: str, count: int, rows) -> None:
+    head = [f"s {kind} {count} {graph_content_hash(graph_path)}"]
+    Path(path).write_text(_render(head, rows), encoding="ascii")
+
+
+def _read_witness(path, graph_path, kind: str):
+    """(graph, header count, body rows, end offset) of a witness of `kind`,
+    whose header `s <kind> <count> <digest>` names the graph file's SHA-256."""
+    g = read_graph(graph_path)
+    text = Path(path).read_text(encoding="ascii")
+    rows = _tagged(text, f"s {kind}", 2, "witness header", "v")
+    line, head = next(rows)
+    (count,) = _ints(head[:1], line)
+    if head[1] != graph_content_hash(graph_path):
+        raise FormatError("witness does not match graph", line=line)
+    return g, count, rows, len(text.encode())
+
+
 def write_independent_set_witness(path, graph_path, witness: VertexSet) -> None:
-    digest = graph_content_hash(graph_path)
-    lines = [f"s independent-set {len(witness)} {digest}"]
-    for v in witness.indices():
-        lines.append(f"v {v + 1}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write_witness(path, graph_path, "independent-set", len(witness),
+                   (("v", v + 1) for v in witness.indices()))
 
 
 def read_independent_set_witness(path, graph_path) -> VertexSet:
     """Load and re-validate an independent-set witness against its graph."""
-    g = read_graph(graph_path)
-    digest = graph_content_hash(graph_path)
-    text = Path(path).read_text(encoding="ascii")
-    size = None
+    g, size, rows, end = _read_witness(path, graph_path, "independent-set")
     vertices: list[int] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.strip().split()
-        if not parts:
-            raise FormatError("blank line", line=line_no)
-        if parts[0] == "s":
-            if len(parts) != 4 or parts[1] != "independent-set":
-                raise FormatError("malformed witness header", line=line_no)
-            (size,) = _ints(parts[2:3], line_no)
-            if parts[3] != digest:
-                raise FormatError("witness does not match graph", line=line_no)
-            continue
-        if parts[0] == "v":
-            if size is None:
-                raise FormatError("vertex before header", line=line_no)
-            (v,) = _ints(parts[1:], line_no)
-            if not 1 <= v <= g.n:
-                raise FormatError(f"vertex {v} out of range", line=line_no)
-            vertices.append(v - 1)
-            continue
-        raise FormatError(f"unknown line type {parts[0]!r}", line=line_no)
-    if size is None:
-        raise FormatError("missing witness header", offset=len(text.encode()))
+    for line_no, fields in rows:
+        (v,) = _ints(fields, line_no, 1, "vertex")
+        if not 1 <= v <= g.n:
+            raise FormatError(f"vertex {v} out of range", line=line_no)
+        vertices.append(v - 1)
     if len(vertices) != size:
-        raise FormatError(f"header declares {size} vertices, found {len(vertices)}",
-                          offset=len(text.encode()))
+        raise FormatError(f"header declares {size} vertices, found {len(vertices)}", offset=end)
     witness = VertexSet.from_indices(g.n, vertices)
     if len(witness) != size:
-        raise FormatError("duplicate vertex in witness", offset=len(text.encode()))
+        raise FormatError("duplicate vertex in witness", offset=end)
     if not check_independent_set(g, witness):
-        raise FormatError("witness is not an independent set of the named graph",
-                          offset=len(text.encode()))
+        raise FormatError("witness is not an independent set of the named graph", offset=end)
     return witness
 
 
 def write_coloring_witness(path, graph_path, coloring: tuple[int, ...]) -> None:
-    digest = graph_content_hash(graph_path)
-    k = max(coloring) if coloring else 0
-    lines = [f"s coloring {k} {digest}"]
-    for v, c in enumerate(coloring, start=1):
-        lines.append(f"v {v} {c}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write_witness(path, graph_path, "coloring", max(coloring, default=0),
+                   (("v", v, c) for v, c in enumerate(coloring, start=1)))
 
 
 def read_coloring_witness(path, graph_path) -> tuple[int, ...]:
     """Load and re-validate a coloring witness against its graph."""
-    g = read_graph(graph_path)
-    digest = graph_content_hash(graph_path)
-    text = Path(path).read_text(encoding="ascii")
-    k = None
+    g, k, rows, end = _read_witness(path, graph_path, "coloring")
     colors: list[int] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.strip().split()
-        if not parts:
-            raise FormatError("blank line", line=line_no)
-        if parts[0] == "s":
-            if len(parts) != 4 or parts[1] != "coloring":
-                raise FormatError("malformed witness header", line=line_no)
-            (k,) = _ints(parts[2:3], line_no)
-            if parts[3] != digest:
-                raise FormatError("witness does not match graph", line=line_no)
-            continue
-        if parts[0] == "v":
-            if k is None:
-                raise FormatError("vertex before header", line=line_no)
-            v, c = _ints(parts[1:], line_no)
-            if v != len(colors) + 1:
-                raise FormatError(f"vertex {v} out of order", line=line_no)
-            colors.append(c)
-            continue
-        raise FormatError(f"unknown line type {parts[0]!r}", line=line_no)
-    if k is None:
-        raise FormatError("missing witness header", offset=len(text.encode()))
+    for line_no, fields in rows:
+        v, c = _ints(fields, line_no, 2, "vertex color")
+        if v != len(colors) + 1:
+            raise FormatError(f"vertex {v} out of order", line=line_no)
+        colors.append(c)
     if len(colors) != g.n:
-        raise FormatError(f"expected {g.n} colored vertices, found {len(colors)}",
-                          offset=len(text.encode()))
+        raise FormatError(f"expected {g.n} colored vertices, found {len(colors)}", offset=end)
     coloring = tuple(colors)
-    if not check_coloring(g, coloring, k) or (coloring and max(coloring) != k):
-        raise FormatError("coloring witness invalid for the named graph",
-                          offset=len(text.encode()))
+    if not check_coloring(g, coloring, k) or max(coloring, default=k) != k:
+        raise FormatError("coloring witness invalid for the named graph", offset=end)
     return coloring
 
 
@@ -293,38 +263,23 @@ def read_coloring_witness(path, graph_path) -> tuple[int, ...]:
 
 
 def serialize_certificate(cert: Certificate) -> str:
-    lines = [f"base {cert.base}",
-             f"alpha {cert.claimed_alpha}",
-             f"chi_lower {cert.claimed_chi_lower}"]
-    for p in cert.points:
-        lines.append(" ".join(str(c) for c in p))
-    return "\n".join(lines) + "\n"
+    head = [f"base {cert.base}", f"alpha {cert.claimed_alpha}",
+            f"chi_lower {cert.claimed_chi_lower}"]
+    return _render(head, cert.points)
 
 
 def parse_certificate(text: str) -> Certificate:
-    lines = text.splitlines()
-    if len(lines) < 3:
-        raise FormatError("truncated certificate header", offset=len(text.encode()))
-    fields = {}
-    for line_no, key in enumerate(("base", "alpha", "chi_lower"), start=1):
-        parts = lines[line_no - 1].split()
-        if len(parts) != 2 or parts[0] != key:
+    rows = _lines(text)
+    header = []
+    for key, (line_no, fields) in zip(("base", "alpha", "chi_lower"), rows):
+        if len(fields) != 2 or fields[0] != key:
             raise FormatError(f"expected '{key} <value>'", line=line_no)
-        fields[key] = parts[1]
-    (alpha,) = _ints([fields["alpha"]], 2)
-    (chi_lower,) = _ints([fields["chi_lower"]], 3)
-    points = []
-    for line_no, raw in enumerate(lines[3:], start=4):
-        parts = raw.split()
-        if not parts:
-            raise FormatError("blank line", line=line_no)
-        points.append(tuple(_ints(parts, line_no)))
-    return Certificate(
-        base=fields["base"],
-        points=tuple(points),
-        claimed_alpha=alpha,
-        claimed_chi_lower=chi_lower,
-    )
+        header.append(fields[1] if key == "base" else _ints(fields[1:], line_no)[0])
+    if len(header) < 3:
+        raise FormatError("truncated certificate header", offset=len(text.encode()))
+    base, alpha, chi_lower = header
+    points = tuple(tuple(_ints(fields, line_no)) for line_no, fields in rows)
+    return Certificate(base, points, claimed_alpha=alpha, claimed_chi_lower=chi_lower)
 
 
 def write_certificate(cert: Certificate, path) -> None:
@@ -376,10 +331,8 @@ class ResultTable:
             for r in self.rows
         ]
         widths = [max(len(col[i]) for col in (header, *body)) for i in range(len(header))]
-        out = []
-        for cols in (header, *body):
-            out.append("  ".join(c.rjust(w) for c, w in zip(cols, widths)))
-        return "\n".join(out) + "\n"
+        return _render(["  ".join(c.rjust(w) for c, w in zip(cols, widths))
+                        for cols in (header, *body)], ())
 
     def render_csv(self) -> str:
         buf = io.StringIO()
@@ -391,8 +344,4 @@ class ResultTable:
         return buf.getvalue()
 
     def records(self) -> list[dict]:
-        return [
-            {"d": r.d, "u": r.u, "status": r.status, "value": r.value,
-             "alpha": r.alpha, "n": r.n, "runtime": r.runtime}
-            for r in self.rows
-        ]
+        return [asdict(r) for r in self.rows]

@@ -25,10 +25,6 @@ def vector_of(index: int, d: int) -> tuple[int, ...]:
     return tuple((index >> (d - 1 - k)) & 1 for k in range(d))
 
 
-def weight(index: int) -> int:
-    return index.bit_count()
-
-
 def _check_dims(d: int, u: int) -> None:
     if d < 1:
         raise ValueError(f"dimension d={d} must be at least 1")

@@ -25,14 +25,14 @@ vertices one by one.
 Each public entry point builds one _Budget from its SolveOptions and hands
 that object to every search it makes; no search builds a budget of its own.
 
-The public entry points split a disconnected graph into its connected
-components and solve each distinct component once: components whose induced
-subgraphs have identical rows are copies of one another (induced_subgraph
-keeps vertex order, so identical rows are an isomorphism through the sorted
-vertex lists), and one solution serves every copy. Alphas add up, a graph is
-k-colorable when every component is, and chi is the maximum over the
-components. A witness stitched from a reused solution is re-checked on the
-whole graph.
+The public entry points split a disconnected graph, or the pool mask they
+search, into its connected components and solve each distinct component
+once: components whose rows, relabelled in sorted vertex order, are
+identical are copies of one another (identical rows are an isomorphism
+through the sorted vertex lists), and one solution serves every copy.
+Alphas add up, a graph is k-colorable when every component is, and chi is
+the maximum over the components. A witness stitched from a reused solution
+is re-checked on the whole graph.
 
 Tie-breaking is everywhere by lowest vertex index, so runs are
 bit-reproducible.
@@ -46,7 +46,6 @@ from .core import (
     Graph,
     VertexSet,
     connected_components,
-    induced_subgraph,
     iter_bits,
     ratio_lower_bound,
 )
@@ -158,12 +157,12 @@ def check_coloring(g: Graph, coloring: tuple[int, ...], k: int | None = None) ->
 class _Budget:
     """Node limit, deadline and nodes spent of one public call.
 
-    Each public entry point, and each augmentation step, builds one from its
-    SolveOptions and passes it to every search it makes. Searches count their own nodes and consult the
-    budget every 256 nodes, so the node count may overshoot the limit by up
-    to 256. A caller whose searches share the node limit adds each search's
-    nodes to `spent`; one that leaves `spent` alone gives every search the
-    full limit under the one deadline.
+    Each public entry point, and each augmentation walk, builds one from its
+    SolveOptions and passes it to every search it makes. Searches count their
+    own nodes and consult the budget every 256 nodes, so the node count may
+    overshoot the limit by up to 256. A caller whose searches share the node
+    limit adds each search's nodes to `spent`; one that leaves `spent` alone
+    gives every search the full limit under the one deadline.
     """
 
     __slots__ = ("node_limit", "deadline", "spent")
@@ -341,23 +340,23 @@ def _complement_rows(g: Graph) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _distinct_components(g: Graph) -> list[tuple[Graph, list[tuple[int, ...]]]]:
-    """Each distinct connected component of g once, with the vertices of its copies.
+def _distinct_components(g: Graph, pool: int) -> list[tuple[Graph, list[tuple[int, ...]]]]:
+    """Each distinct connected component of g inside mask pool once, as
+    (subgraph, copies) in order of first appearance.
 
-    Components whose induced subgraphs have identical rows are one entry:
-    induced_subgraph keeps the relative order of the kept vertices, so equal
-    rows make the sorted vertex lists an isomorphism, with no further check.
-    Entries come in order of first appearance as (subgraph, copies), where
-    copy[v] is the vertex of g that subgraph vertex v stands for. A connected
-    graph comes back as itself, with the identity as its one copy.
+    The subgraph's rows are relabelled in sorted vertex order, so components
+    with identical rows are copies, and copy[v] is the vertex of g that
+    subgraph vertex v stands for. A connected graph searched whole comes back
+    as itself, with the identity as its one copy.
     """
-    comps = connected_components(g)
-    if len(comps) == 1:
+    comps = connected_components(g, pool)
+    if len(comps) == 1 and pool == g.full_mask:
         return [(g, [tuple(range(g.n))])]
     groups: dict[tuple[int, ...], tuple[Graph, list[tuple[int, ...]]]] = {}
     for comp in comps:
-        sub, _ = induced_subgraph(g, comp)
-        groups.setdefault(sub.adj, (sub, []))[1].append(comp.indices())
+        copy = comp.indices()
+        rows = tuple(_relabel(g.adj, comp.bits, copy))
+        groups.setdefault(rows, (Graph._trusted(len(copy), rows), []))[1].append(copy)
     return list(groups.values())
 
 
@@ -366,22 +365,24 @@ def _distinct_components(g: Graph) -> list[tuple[Graph, list[tuple[int, ...]]]]:
 # ---------------------------------------------------------------------------
 
 
-def max_independent_set(g: Graph, options: SolveOptions | None = None) -> MisResult | MisIncomplete:
-    """Exact alpha(g) with witness, as maximum clique of the complement.
+def _mis(g: Graph, pool: int, bits: int,
+         options: SolveOptions | None) -> MisResult | MisIncomplete:
+    """A maximum independent set of g: the independent set `bits` plus the
+    most vertices of pool, none of which has a neighbor in `bits`.
 
-    alpha adds up over connected components. Each distinct component is
-    searched once and its witness serves every copy; the call's node budget
-    and deadline are spent across the components in turn. When they run
-    out, the lower bound is the size of the stitched witness, and the upper
-    bound adds each searched component's certified bound and each unsearched
-    component's size, once per copy.
+    Each distinct component inside pool is searched once, as a maximum clique
+    of its complement, and its witness serves every copy; the call's node
+    budget and deadline are spent across the components in turn. When they
+    run out, the lower bound is the size of the stitched witness, and the
+    upper bound adds to |bits| each searched component's certified bound and
+    each unsearched component's size, once per copy.
     """
     t0 = time.perf_counter()
     budget = _Budget(options or SolveOptions())
-    bits = upper = 0
+    upper = bits.bit_count()
     complete = True
     reused = False
-    for sub, copies in _distinct_components(g):
+    for sub, copies in _distinct_components(g, pool):
         if budget.exceeded():
             complete = False
             upper += sub.n * len(copies)
@@ -405,34 +406,24 @@ def max_independent_set(g: Graph, options: SolveOptions | None = None) -> MisRes
     return MisIncomplete(len(witness), upper, witness, budget.spent, elapsed)
 
 
+def max_independent_set(g: Graph, options: SolveOptions | None = None) -> MisResult | MisIncomplete:
+    """Exact alpha(g) with witness, or the certified bracket of a spent budget."""
+    return _mis(g, g.full_mask, 0, options)
+
+
 def alpha_vertex_transitive(g: Graph, pivot: int,
                             options: SolveOptions | None = None) -> MisResult | MisIncomplete:
     """alpha(g) for vertex-transitive g, via one level of pivot reduction.
 
     Valid only when the caller knows g is vertex-transitive: some maximum
     independent set then contains the pivot, so alpha(g) equals one plus the
-    independence number of the subgraph induced on the pivot's non-neighbors.
-    The reduced graph need not be vertex-transitive, so the reduction is never
-    nested.
+    independence number of the subgraph induced on the pivot's non-neighbors,
+    searched as a pool mask of g. That subgraph need not be vertex-transitive,
+    so the reduction is never nested.
     """
     if not 0 <= pivot < g.n:
         raise ValueError(f"pivot {pivot} out of range")
-    t0 = time.perf_counter()
-    non_neighbors = g.full_mask ^ g.adj[pivot] ^ (1 << pivot)
-    # A subgraph, not a pool mask: the non-neighbors can be disconnected, and
-    # max_independent_set solves each distinct component once.
-    sub, index_map = induced_subgraph(g, VertexSet(g.n, non_neighbors))
-    inner = max_independent_set(sub, options)
-    back = {new: old for old, new in index_map.items()}
-    lift = (1 << pivot)
-    for v in inner.witness:
-        lift |= 1 << back[v]
-    witness = VertexSet(g.n, lift)
-    elapsed = time.perf_counter() - t0
-    if isinstance(inner, MisResult):
-        return MisResult(inner.alpha + 1, witness, inner.nodes_explored, elapsed)
-    return MisIncomplete(inner.lower_bound + 1, min(inner.upper_bound + 1, g.n),
-                         witness, inner.nodes_explored, elapsed)
+    return _mis(g, g.full_mask ^ g.adj[pivot] ^ (1 << pivot), 1 << pivot, options)
 
 
 def clique_lower_bound(g: Graph) -> int:
@@ -545,10 +536,16 @@ def k_colorable(g: Graph, k: int, options: SolveOptions | None = None) -> KColor
     budget = _Budget(options or SolveOptions())
     coloring = [0] * g.n
     reused = False
-    for sub, copies in _distinct_components(g):
+    for sub, copies in _distinct_components(g, g.full_mask):
         if budget.exceeded():
             return KColorOutcome("unknown", None, budget.spent)
-        outcome = _k_color(sub, k, budget)
+        greedy_k, greedy_cols = greedy_coloring_bound(sub)
+        if greedy_k <= k:
+            outcome = KColorOutcome("colorable", greedy_cols, 0)
+        elif k == 1:  # more than one greedy color: sub has an edge
+            outcome = KColorOutcome("uncolorable", None, 0)
+        else:
+            outcome = _k_color(sub, k, budget)
         budget.spent += outcome.nodes_explored
         if outcome.status != "colorable":
             return KColorOutcome(outcome.status, None, budget.spent)
@@ -562,7 +559,7 @@ def k_colorable(g: Graph, k: int, options: SolveOptions | None = None) -> KColor
 
 
 def _k_color(g: Graph, k: int, budget: _Budget) -> KColorOutcome:
-    """k-colorability of one graph with n >= 1 and k >= 1.
+    """k-colorability of one graph with n >= 1, for 2 <= k < its DSATUR count.
 
     Depth-first search with DSATUR vertex selection over bit masks: forb[c]
     holds the vertices with a neighbor of color c, and bucket[s] the uncolored
@@ -575,12 +572,6 @@ def _k_color(g: Graph, k: int, budget: _Budget) -> KColorOutcome:
     by the interpreter's recursion limit.
     """
     n = g.n
-    greedy_k, greedy_cols = greedy_coloring_bound(g)
-    if greedy_k <= k:
-        return KColorOutcome("colorable", greedy_cols, 0)
-    if any(g.adj[v] for v in range(n)) and k == 1:
-        return KColorOutcome("uncolorable", None, 0)
-
     adj = g.adj
     levels = _degree_levels(adj, n)
     colors = [0] * n
@@ -651,6 +642,7 @@ def _chi_connected(g: Graph, budget: _Budget) -> ColoringResult | ChiBracket:
         alpha = min(alpha_upper, g.n)
     lower = max(lower, ratio_lower_bound(g.n, alpha))
 
+    # _k_color needs 2 <= k < upper: g has an edge, so its clique bound is 2.
     k = lower
     while k < upper:
         outcome = _k_color(g, k, budget)
@@ -675,7 +667,7 @@ def chromatic_number(g: Graph, options: SolveOptions | None = None) -> ColoringR
     lower = upper = nodes = 0
     exact = True
     reused = False
-    for sub, copies in _distinct_components(g):
+    for sub, copies in _distinct_components(g, g.full_mask):
         res = _chi_connected(sub, budget)
         nodes += res.nodes_explored
         if isinstance(res, ColoringResult):

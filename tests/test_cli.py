@@ -250,6 +250,14 @@ class TestAugmentAndVerify:
         assert "outcome=" not in out
         assert not cert_path.exists()
 
+    def test_augment_rejects_negative_time_budget(self, capsys, tmp_path):
+        cert_path = tmp_path / "neg.cert"
+        code, out, err = run(capsys, "augment", "--budget-seconds", "-1",
+                             "-o", str(cert_path))
+        assert code == EXIT_INVALID
+        assert err.startswith("error message=") and "base name=" not in out
+        assert not cert_path.exists()
+
     def test_verify_tampered_point_fails_fast(self, capsys, tmp_path):
         cert = ud.shipped_certificate()
         bad = ud.Certificate(cert.base, ((9, 9, 9, 9, 9, 9, 9, 9),) + cert.points[1:],

@@ -213,6 +213,20 @@ class TestConnectedComponents:
             comps = {frozenset(c.indices()) for c in ud.connected_components(g)}
             assert comps == {frozenset(c) for c in bfs_components_oracle(g)}
 
+    def test_pool_components_match_induced_subgraph(self):
+        # Components inside a pool mask are the induced subgraph's, mapped back.
+        rng = random.Random(29)
+        for _ in range(30):
+            g = random_graph(rng, rng.randrange(1, 12), 0.3)
+            keep = g.vertex_set(v for v in range(g.n) if rng.random() < 0.6)
+            sub, index_map = ud.induced_subgraph(g, keep)
+            back = {new: old for old, new in index_map.items()}
+            expected = [tuple(back[v] for v in c.indices())
+                        for c in ud.connected_components(sub)]
+            got = ud.connected_components(g, keep.bits)
+            assert [c.indices() for c in got] == expected
+            assert all(c.n == g.n for c in got)
+
 
 class TestRatioLowerBound:
     def test_headline_ratio_bounds(self):

@@ -273,6 +273,19 @@ class TestAugmentGreedy:
         with pytest.raises(RuntimeError, match="re-check"):
             ud.augment_greedy(state, [NORM_12_POINT])
 
+    def test_search_stopped_by_deadline_ends_walk_undecided(self, monkeypatch):
+        # (9, 9, 9) has no neighbour and is rejected without search; the
+        # search for (2, 0, 0) reports the deadline, so the walk stops there.
+        state = tiny_state([(0, 0, 0)], 4)
+        monkeypatch.setattr(e8, "_max_clique_masks",
+                            lambda *args, **kwargs: (0, 0, 256, "budget", 1))
+        final = ud.augment_greedy(state, [(9, 9, 9), (2, 0, 0), (0, 2, 0)],
+                                  time_budget=3600)
+        assert final.termination == "budget_time"
+        assert final.candidates_tested == 1 and final.rejected_count == 1
+        assert final.added == () and final.graph.n == 1
+        assert final.nodes_explored == state.nodes_explored
+
     def test_odd_norm_point_rejected_without_search(self, g0_state):
         # Odd squared norm: every distance to a root is odd, never 16.
         state = g0_state

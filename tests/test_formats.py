@@ -188,6 +188,49 @@ class TestWitnessFiles:
         assert err.value.line == 1
 
 
+class TestBodyLineFieldCounts:
+    """Every tagged reader checks each body line's field count."""
+
+    @staticmethod
+    def _read(tmp_path, kind, body):
+        if kind == "graph":
+            return formats.parse_graph(f"p edge 2 1\n{body}\n")
+        if kind == "coords":
+            return formats.parse_point_cloud(f"p coords 1 2 4\n{body}\n")
+        g = ud.Graph.from_edges(2, [(0, 1)], name="edge")
+        graph_path = tmp_path / "edge.graph"
+        formats.write_graph(g, graph_path)
+        digest = formats.graph_content_hash(graph_path)
+        witness = tmp_path / "w.witness"
+        witness.write_text(f"s {kind} 1 {digest}\n{body}\n")
+        read = (formats.read_independent_set_witness if kind == "independent-set"
+                else formats.read_coloring_witness)
+        return read(witness, graph_path)
+
+    @pytest.mark.parametrize("kind, body", [
+        ("graph", "e 1"),
+        ("coords", "v 1 0"),
+        ("independent-set", "v 1 2"),
+        ("coloring", "v 1"),
+    ], ids=["graph", "coords", "independent-set", "coloring"])
+    def test_wrong_field_count_reports_line(self, tmp_path, kind, body):
+        with pytest.raises(FormatError, match=r"expected \d+ fields") as err:
+            self._read(tmp_path, kind, body)
+        assert err.value.line == 2
+
+    def test_coords_header_rejected_by_point_cloud(self):
+        with pytest.raises(FormatError, match="squared adjacency distance") as err:
+            formats.parse_point_cloud("p coords 1 2 0\nv 1 0 0\n")
+        assert err.value.line == 1
+        assert type(err.value.__cause__) is ValueError
+
+    def test_repeated_point_reports_its_line(self):
+        with pytest.raises(FormatError, match="duplicate point") as err:
+            formats.parse_point_cloud("p coords 3 1 1\nv 1 0\nv 2 1\nv 3 0\n")
+        assert err.value.line == 4
+        assert isinstance(err.value.__cause__, ud.DuplicatePointError)
+
+
 class TestCertificates:
     def test_shipped_certificate_round_trip(self, tmp_path):
         cert = ud.shipped_certificate()

@@ -373,7 +373,7 @@ class TestComponents:
                 parts.pop()
             labels = interleaved_labels(rng, [p.n for p in parts], keep_order=trial % 3 != 0)
             g = disjoint_union(parts, labels)
-            reused += any(len(copies) > 1 for _, copies in _distinct_components(g))
+            reused += any(len(copies) > 1 for _, copies in _distinct_components(g, g.full_mask))
 
             mis = ud.max_independent_set(g)
             assert isinstance(mis, ud.MisResult) and mis.alpha == brute_alpha(g)
@@ -394,13 +394,13 @@ class TestComponents:
     def test_distinct_components_of_even_cubes(self):
         for d, u, size, copies in ((4, 4, 2, 8), (6, 6, 2, 32), (8, 6, 128, 2)):
             g, _ = ud.hamming_graph(d, u)
-            ((sub, maps),) = _distinct_components(g)
+            ((sub, maps),) = _distinct_components(g, g.full_mask)
             assert sub.n == size and len(maps) == copies
             assert sorted(v for m in maps for v in m) == list(range(g.n))
 
     def test_connected_graph_returned_as_itself(self, slice1045):
         g, _ = slice1045
-        assert _distinct_components(g) == [(g, [tuple(range(g.n))])]
+        assert _distinct_components(g, g.full_mask) == [(g, [tuple(range(g.n))])]
 
     def test_chi_connected_runs_once_per_distinct_component(self, monkeypatch):
         sizes = []
