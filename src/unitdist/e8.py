@@ -53,6 +53,15 @@ class CertificateError(ValueError):
         super().__init__(f"{condition}: {detail}")
 
 
+class _DecisionStopped(TimeoutError):
+    """The budget ran out before or during one decision; nodes is what the
+    stopped search had spent."""
+
+    def __init__(self, message: str, nodes: int):
+        self.nodes = nodes
+        super().__init__(message)
+
+
 def _is_pair_type(v: Vec) -> bool:
     nonzero = [c for c in v if c != 0]
     return len(nonzero) == 2 and all(abs(c) == 2 for c in nonzero)
@@ -104,6 +113,39 @@ def build_g0() -> tuple[Graph, PointCloud]:
     roots = gosset_roots().roots
     cloud = PointCloud(8, roots, GOSSET_ADJ_SQ_DIST)
     return graph_from_points(cloud, name=GOSSET_BASE_NAME), cloud
+
+
+def _cloud_automorphisms(cloud: PointCloud) -> list[tuple[int, ...]]:
+    """Vertex permutations of the cloud's graph induced by integer isometries.
+
+    Four isometries of R^dim are tried: swap x0 and x1, the cyclic shift of
+    the coordinates, negate x0 and x1, and the reflection in the hyperplane
+    orthogonal to (1, ..., 1), x -> x - (2 sum(x) / dim)(1, ..., 1), which in
+    dimension 8 is x - (sum(x) / 4)(1, ..., 1). One that maps the cloud's
+    points onto themselves keeps every squared distance, so it permutes the
+    vertices as an automorphism; the others are dropped. On the Gosset roots
+    all four are kept: the first three generate W(D8), whose two orbits are
+    the 112 pair-type and the 128 sign-type roots, and the reflection joins
+    them. The solver re-checks every permutation before it uses one.
+    """
+    dim = cloud.dim
+    if dim < 2:
+        return []
+
+    def reflect(x: Vec) -> Vec | None:
+        shift, rest = divmod(2 * sum(x), dim)
+        return None if rest else tuple(c - shift for c in x)
+
+    index = {p: i for i, p in enumerate(cloud.points)}
+    perms = []
+    for isometry in (lambda x: (x[1], x[0]) + x[2:],
+                     lambda x: x[1:] + x[:1],
+                     lambda x: (-x[0], -x[1]) + x[2:],
+                     reflect):
+        perm = tuple(index.get(isometry(p), -1) for p in cloud.points)
+        if -1 not in perm:
+            perms.append(perm)
+    return perms
 
 
 @dataclass(frozen=True)
@@ -180,17 +222,18 @@ def _alpha_after_adding(graph: Graph, cloud: PointCloud, alpha: int, x: Vec,
     with no neighbor is decided without search: any maximum independent set
     plus x is independent. The witness of a stopped search is re-checked on
     the graph and against x's coordinates before the rejection is returned.
-    A budget spent on entry, or one that stops the search, raises TimeoutError.
+    A budget spent on entry, or one that stops the search, raises
+    _DecisionStopped, a TimeoutError carrying the nodes the search spent.
     """
     if budget.exceeded():
-        raise TimeoutError(f"solver budget exhausted before testing point {x}")
+        raise _DecisionStopped(f"solver budget exhausted before testing point {x}", 0)
     if nbr == 0:
         return alpha + 1, 0
     _, mask, nodes, status, _ = _max_clique_masks(
         _complement_rows(graph), graph.full_mask & ~nbr, initial_best=alpha - 1,
         stop_at=alpha, budget=budget)
     if status == "budget":
-        raise TimeoutError(f"solver budget exhausted while testing point {x}")
+        raise _DecisionStopped(f"solver budget exhausted while testing point {x}", nodes)
     if status == "complete":
         return alpha, nodes
     witness = VertexSet(graph.n, mask)
@@ -218,8 +261,13 @@ def addition_preserves_alpha(state: AugmentationState, x: Vec,
 
 def initial_state(graph: Graph, cloud: PointCloud,
                   options: SolveOptions | None = None) -> AugmentationState:
-    """Augmentation state for a base graph, solving its alpha exactly."""
-    res = max_independent_set(graph, options or SolveOptions())
+    """Augmentation state for a base graph, solving its alpha exactly.
+
+    The solver gets the cloud's automorphisms (_cloud_automorphisms) and
+    checks them; on a vertex-transitive base such as the Gosset graph it
+    then searches only the non-neighbours of one vertex.
+    """
+    res = max_independent_set(graph, options, _cloud_automorphisms(cloud))
     if not isinstance(res, MisResult):
         raise TimeoutError("solver budget exhausted while computing base alpha")
     return AugmentationState(cloud, graph, res.alpha, (), 0, 0,
@@ -240,7 +288,8 @@ def augment_greedy(state: AugmentationState, pool, *,
     Points already in the graph are skipped without consuming budget. Budget
     exhaustion terminates the walk with a termination tag distinct from
     "pool_exhausted". All candidates share one deadline, time_budget seconds
-    away (none if 0); the candidate that meets it ends the walk untested.
+    away (none if 0); the candidate that meets it ends the walk untested, and
+    the nodes its stopped search spent still count in nodes_explored.
     """
     budget = _Budget(SolveOptions(time_budget=time_budget or None))
     points = pool.points if isinstance(pool, CandidatePool) else tuple(pool)
@@ -265,7 +314,8 @@ def augment_greedy(state: AugmentationState, pool, *,
         nbr = _neighbor_mask(cloud, x)
         try:
             new_alpha, step_nodes = _alpha_after_adding(graph, cloud, alpha, x, nbr, budget)
-        except TimeoutError:
+        except _DecisionStopped as stop:
+            nodes += stop.nodes
             termination = "budget_time"
             break
         tested += 1
@@ -330,12 +380,25 @@ def verify_certificate(cert: Certificate,
     duplicates a base vertex or another certificate point, the recomputed
     independence number matches, and the ratio bound matches. Raises
     CertificateError naming the first violated condition.
+
+    The independence number is decided point by point, not re-solved. The
+    base is solved as initial_state solves it, with the cloud's checked
+    automorphisms. The certificate's points are then added in order, each
+    with the decision augment_greedy makes: one point raises alpha by at
+    most one, a rise comes with a re-checked independent set and no rise is
+    a completed refutation, so by induction the last alpha is exact. The
+    base witness is re-checked on the final graph. One budget covers the
+    base and every step; when it runs out, the "budget" error gives the
+    bracket alpha is known to lie in: the current alpha plus at most one per
+    point not yet decided. Since alpha never falls as points are added, a
+    claim that the chain has already passed fails without deciding the
+    remaining points.
     """
-    opts = options or SolveOptions()
+    budget = _Budget(options or SolveOptions())
     if cert.base != GOSSET_BASE_NAME:
         raise CertificateError("unknown-base", f"cannot resolve base {cert.base!r}")
-    base_graph, base_cloud = build_g0()
-    n_total = base_graph.n + len(cert.points)
+    graph, cloud = build_g0()
+    n_total = graph.n + len(cert.points)
     if cert.claimed_alpha < 1:
         raise CertificateError("bad-alpha", f"claimed alpha {cert.claimed_alpha}")
     expected_ratio = ratio_lower_bound(n_total, cert.claimed_alpha)
@@ -344,7 +407,7 @@ def verify_certificate(cert: Certificate,
             "ratio-arithmetic",
             f"claimed chi_lower {cert.claimed_chi_lower} != "
             f"ceil({n_total}/{cert.claimed_alpha}) = {expected_ratio}")
-    base_points = set(base_cloud.points)
+    base_points = set(cloud.points)
     seen: set[Vec] = set()
     for x in cert.points:
         violation = point_violation(x)
@@ -355,24 +418,44 @@ def verify_certificate(cert: Certificate,
         if x in seen:
             raise CertificateError("duplicate-vertex", f"{x} listed twice")
         seen.add(x)
-    cloud = PointCloud(8, base_cloud.points + cert.points, GOSSET_ADJ_SQ_DIST)
-    graph = graph_from_points(cloud, name=f"{cert.base}+{len(cert.points)}")
-    res = max_independent_set(graph, opts)
-    if not isinstance(res, MisResult):
-        raise CertificateError(
-            "budget", f"solver budget exhausted at bracket "
-                      f"[{res.lower_bound}, {res.upper_bound}]")
-    if res.alpha != cert.claimed_alpha:
+
+    def out_of_budget(lower: int, upper: int) -> CertificateError:
+        return CertificateError(
+            "budget", f"solver budget exhausted after {budget.spent} nodes "
+                      f"at bracket [{lower}, {upper}]")
+
+    base = max_independent_set(graph, automorphisms=_cloud_automorphisms(cloud),
+                               budget=budget)
+    if not isinstance(base, MisResult):
+        raise out_of_budget(base.lower_bound, base.upper_bound + len(cert.points))
+    alpha = base.alpha
+    for i, x in enumerate(cert.points):
+        if alpha > cert.claimed_alpha:  # adding points never lowers alpha
+            raise CertificateError(
+                "alpha-mismatch",
+                f"recomputed alpha {alpha} after {i} of {len(cert.points)} points "
+                f"already exceeds claimed {cert.claimed_alpha}")
+        nbr = _neighbor_mask(cloud, x)
+        try:
+            alpha, nodes = _alpha_after_adding(graph, cloud, alpha, x, nbr, budget)
+        except _DecisionStopped as stop:
+            budget.spent += stop.nodes
+            raise out_of_budget(alpha, alpha + len(cert.points) - i) from None
+        budget.spent += nodes
+        cloud, graph = _extend(cloud, graph, x, nbr)
+    if not check_independent_set(graph, VertexSet(graph.n, base.witness.bits)):
+        raise RuntimeError("base witness failed its re-check on the final graph")
+    if alpha != cert.claimed_alpha:
         raise CertificateError(
             "alpha-mismatch",
-            f"recomputed alpha {res.alpha} != claimed {cert.claimed_alpha}")
-    bound = ratio_lower_bound(graph.n, res.alpha)
+            f"recomputed alpha {alpha} != claimed {cert.claimed_alpha}")
+    bound = ratio_lower_bound(graph.n, alpha)
     if bound != cert.claimed_chi_lower:
         raise CertificateError(
             "ratio-mismatch",
             f"recomputed bound {bound} != claimed {cert.claimed_chi_lower}")
-    return BoundReport(graph_name=graph.name, n_vertices=graph.n,
-                       alpha=res.alpha, chi_lower=bound)
+    return BoundReport(graph_name=f"{cert.base}+{len(cert.points)}", n_vertices=graph.n,
+                       alpha=alpha, chi_lower=bound)
 
 
 def rational_rescale_check(cloud: PointCloud) -> bool:

@@ -24,6 +24,16 @@ vertices one by one.
 
 Each public entry point builds one _Budget from its SolveOptions and hands
 that object to every search it makes; no search builds a budget of its own.
+max_independent_set also takes a caller's _Budget in place of options, so
+that one budget can cover a chain of searches.
+
+Symmetry is used only once it is proven. max_independent_set takes vertex
+permutations as automorphisms, checks each against the adjacency rows
+(adj[p[v]] must be the image of adj[v]; ValueError otherwise), and when the
+orbit of vertex 0 under them is the whole graph, the graph is
+vertex-transitive and vertex 0 is put into the independent set up front:
+only its non-neighbours are searched. alpha_vertex_transitive makes the
+same reduction on the caller's word, without a check.
 
 The public entry points split a disconnected graph, or the pool mask they
 search, into its connected components and solve each distinct component
@@ -183,26 +193,41 @@ class _Budget:
 
 def _degeneracy_order(adj: list[int] | tuple[int, ...], pool: int) -> list[int]:
     """The vertices of pool in smallest-last removal order, degrees counted
-    inside pool; ties broken by lowest index."""
+    inside pool; ties broken by lowest index.
+
+    bucket[d] holds the vertices not yet removed with exactly d neighbours
+    among the others, so the next vertex is the lowest bit of the lowest
+    non-empty bucket, and removing it moves its remaining neighbours down one
+    bucket with one mask operation per bucket they occupy.
+    """
+    degrees = [(adj[v] & pool).bit_count() for v in iter_bits(pool)]
+    bucket = [0] * (max(degrees, default=0) + 1)
+    for v, d in zip(iter_bits(pool), degrees):
+        bucket[d] |= 1 << v
     alive = pool
-    deg = [(row & pool).bit_count() for row in adj]
     order = []
-    for _ in range(pool.bit_count()):
-        best_v, best_d = -1, len(adj) + 1
-        rest = alive
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            if deg[v] < best_d:
-                best_d, best_v = deg[v], v
-        order.append(best_v)
-        alive ^= 1 << best_v
-        row = adj[best_v] & alive
+    low_d = 0
+    for _ in range(len(degrees)):
+        while not bucket[low_d]:
+            low_d += 1
+        top = bucket[low_d]
+        low = top & -top
+        bucket[low_d] = top ^ low
+        alive ^= low
+        v = low.bit_length() - 1
+        order.append(v)
+        # Bottom-up, so a vertex moved into bucket d - 1 is not moved again.
+        row = adj[v] & alive
+        d = low_d
         while row:
-            low = row & -row
-            row ^= low
-            deg[low.bit_length() - 1] -= 1
+            moved = bucket[d] & row
+            if moved:
+                bucket[d] ^= moved
+                bucket[d - 1] |= moved
+                row ^= moved
+            d += 1
+        if low_d:
+            low_d -= 1
     return order
 
 
@@ -346,8 +371,10 @@ def _distinct_components(g: Graph, pool: int) -> list[tuple[Graph, list[tuple[in
 
     The subgraph's rows are relabelled in sorted vertex order, so components
     with identical rows are copies, and copy[v] is the vertex of g that
-    subgraph vertex v stands for. A connected graph searched whole comes back
-    as itself, with the identity as its one copy.
+    subgraph vertex v stands for. The relabelling map is sized to the
+    component, so many small components cost no more than their own rows. A
+    connected graph searched whole comes back as itself, with the identity
+    as its one copy.
     """
     comps = connected_components(g, pool)
     if len(comps) == 1 and pool == g.full_mask:
@@ -355,7 +382,8 @@ def _distinct_components(g: Graph, pool: int) -> list[tuple[Graph, list[tuple[in
     groups: dict[tuple[int, ...], tuple[Graph, list[tuple[int, ...]]]] = {}
     for comp in comps:
         copy = comp.indices()
-        rows = tuple(_relabel(g.adj, comp.bits, copy))
+        pos = {v: 1 << i for i, v in enumerate(copy)}
+        rows = tuple(sum(pos[w] for w in iter_bits(g.adj[v] & comp.bits)) for v in copy)
         groups.setdefault(rows, (Graph._trusted(len(copy), rows), []))[1].append(copy)
     return list(groups.values())
 
@@ -365,20 +393,19 @@ def _distinct_components(g: Graph, pool: int) -> list[tuple[Graph, list[tuple[in
 # ---------------------------------------------------------------------------
 
 
-def _mis(g: Graph, pool: int, bits: int,
-         options: SolveOptions | None) -> MisResult | MisIncomplete:
+def _mis(g: Graph, pool: int, bits: int, budget: _Budget) -> MisResult | MisIncomplete:
     """A maximum independent set of g: the independent set `bits` plus the
     most vertices of pool, none of which has a neighbor in `bits`.
 
     Each distinct component inside pool is searched once, as a maximum clique
-    of its complement, and its witness serves every copy; the call's node
-    budget and deadline are spent across the components in turn. When they
-    run out, the lower bound is the size of the stitched witness, and the
-    upper bound adds to |bits| each searched component's certified bound and
-    each unsearched component's size, once per copy.
+    of its complement, and its witness serves every copy; the budget's nodes
+    and deadline are spent across the components in turn. When they run out,
+    the lower bound is the size of the stitched witness, and the upper bound
+    adds to |bits| each searched component's certified bound and each
+    unsearched component's size, once per copy.
     """
     t0 = time.perf_counter()
-    budget = _Budget(options or SolveOptions())
+    spent_before = budget.spent
     upper = bits.bit_count()
     complete = True
     reused = False
@@ -401,14 +428,64 @@ def _mis(g: Graph, pool: int, bits: int,
     if reused and not check_independent_set(g, witness):
         raise RuntimeError("stitched independent set failed its re-check")
     elapsed = time.perf_counter() - t0
+    nodes = budget.spent - spent_before
     if complete:
-        return MisResult(len(witness), witness, budget.spent, elapsed)
-    return MisIncomplete(len(witness), upper, witness, budget.spent, elapsed)
+        return MisResult(len(witness), witness, nodes, elapsed)
+    return MisIncomplete(len(witness), upper, witness, nodes, elapsed)
 
 
-def max_independent_set(g: Graph, options: SolveOptions | None = None) -> MisResult | MisIncomplete:
-    """Exact alpha(g) with witness, or the certified bracket of a spent budget."""
-    return _mis(g, g.full_mask, 0, options)
+def _transitive_under(g: Graph, automorphisms) -> bool:
+    """Whether the permutations, each checked to be an automorphism of g,
+    move vertex 0 onto every vertex of g.
+
+    p[v] is the image of vertex v. A permutation passes when it is a
+    bijection of 0..n-1 and adj[p[v]] equals the image of adj[v] for every
+    v; ValueError names the first one that fails.
+    """
+    n = g.n
+    adj = g.adj
+    for i, p in enumerate(automorphisms):
+        if sorted(p) != list(range(n)):
+            raise ValueError(f"automorphism {i} is not a permutation of the {n} vertices")
+        for v in range(n):
+            image = 0
+            for w in iter_bits(adj[v]):
+                image |= 1 << p[w]
+            if adj[p[v]] != image:
+                raise ValueError(f"automorphism {i} maps the neighbours of vertex {v} "
+                                 f"onto vertices that are not the neighbours of {p[v]}")
+    if n == 0 or not automorphisms:
+        return False
+    orbit, frontier = 1, [0]
+    while frontier:
+        v = frontier.pop()
+        for p in automorphisms:
+            w = p[v]
+            if not (orbit >> w) & 1:
+                orbit |= 1 << w
+                frontier.append(w)
+    return orbit == g.full_mask
+
+
+def max_independent_set(g: Graph, options: SolveOptions | None = None, automorphisms=(), *,
+                        budget: _Budget | None = None) -> MisResult | MisIncomplete:
+    """Exact alpha(g) with witness, or the certified bracket of a spent budget.
+
+    automorphisms is a sequence of vertex permutations of g, p[v] being the
+    image of v; each is checked against the adjacency rows first, and one
+    that is not an automorphism raises ValueError. When the orbit of vertex 0
+    under them is all of g, g is vertex-transitive, so some maximum
+    independent set contains vertex 0, and only its non-neighbours are
+    searched, as in alpha_vertex_transitive(g, 0). Otherwise the whole graph
+    is searched. A caller that spends one budget over several searches
+    passes it as `budget` instead of options.
+    """
+    transitive = _transitive_under(g, automorphisms)
+    if budget is None:
+        budget = _Budget(options or SolveOptions())
+    if transitive:
+        return _mis(g, g.full_mask ^ g.adj[0] ^ 1, 1, budget)
+    return _mis(g, g.full_mask, 0, budget)
 
 
 def alpha_vertex_transitive(g: Graph, pivot: int,
@@ -419,11 +496,13 @@ def alpha_vertex_transitive(g: Graph, pivot: int,
     independent set then contains the pivot, so alpha(g) equals one plus the
     independence number of the subgraph induced on the pivot's non-neighbors,
     searched as a pool mask of g. That subgraph need not be vertex-transitive,
-    so the reduction is never nested.
+    so the reduction is never nested. max_independent_set makes the same
+    reduction once automorphisms it has checked prove g vertex-transitive.
     """
     if not 0 <= pivot < g.n:
         raise ValueError(f"pivot {pivot} out of range")
-    return _mis(g, g.full_mask ^ g.adj[pivot] ^ (1 << pivot), 1 << pivot, options)
+    return _mis(g, g.full_mask ^ g.adj[pivot] ^ (1 << pivot), 1 << pivot,
+                _Budget(options or SolveOptions()))
 
 
 def clique_lower_bound(g: Graph) -> int:

@@ -7,12 +7,14 @@ vertex order. reference_dsatur keeps the straightforward DSATUR scan over all
 uncolored vertices, against which the package's bit-mask selector is pinned.
 reference_max_clique keeps the recursive clique kernel that the package's
 explicit-stack kernel replaced, as a differential oracle for its node counts,
-witnesses, statuses and bounds.
+witnesses, statuses and bounds. reference_degeneracy_order keeps the full
+scan for the minimum-degree vertex that the package's degree buckets
+replaced.
 """
 import sys
 
 import unitdist as ud
-from unitdist.solve import _Budget, _degeneracy_order, _relabel
+from unitdist.solve import _Budget, _relabel
 
 
 def brute_alpha(g: ud.Graph) -> int:
@@ -121,6 +123,31 @@ def reference_dsatur(g: ud.Graph) -> tuple[int, tuple[int, ...]]:
     return (max(colors), tuple(colors))
 
 
+def reference_degeneracy_order(adj, pool: int) -> list[int]:
+    """Smallest-last removal order of the vertices of pool, by scanning every
+    remaining vertex for the lowest degree inside pool, lowest index first."""
+    alive = pool
+    deg = [(row & pool).bit_count() for row in adj]
+    order = []
+    for _ in range(pool.bit_count()):
+        best_v, best_d = -1, len(adj) + 1
+        rest = alive
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if deg[v] < best_d:
+                best_d, best_v = deg[v], v
+        order.append(best_v)
+        alive ^= 1 << best_v
+        row = adj[best_v] & alive
+        while row:
+            low = row & -row
+            row ^= low
+            deg[low.bit_length() - 1] -= 1
+    return order
+
+
 class _Abort(Exception):
     """Stops a clique search; args[0] is the status, "budget" or "target"."""
 
@@ -136,7 +163,7 @@ def reference_max_clique(adj, n: int, *, initial_best: int = 0, stop_at: int | N
         return (0, 0, 0, "complete", 0)
     # branch depth is bounded by the clique size, which can reach n
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * n + 200))
-    order = _degeneracy_order(adj, (1 << n) - 1)
+    order = reference_degeneracy_order(adj, (1 << n) - 1)
     nbr = _relabel(adj, (1 << n) - 1, order)
     budget = _Budget(options)
     order_bufs: list[list[int]] = []

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -284,7 +285,7 @@ class TestAugmentGreedy:
         assert final.termination == "budget_time"
         assert final.candidates_tested == 1 and final.rejected_count == 1
         assert final.added == () and final.graph.n == 1
-        assert final.nodes_explored == state.nodes_explored
+        assert final.nodes_explored == state.nodes_explored + 256
 
     def test_odd_norm_point_rejected_without_search(self, g0_state):
         # Odd squared norm: every distance to a root is odd, never 16.
@@ -306,6 +307,122 @@ class TestAugmentGreedy:
         assert final.termination == "budget_candidates"
         # existing roots inside the ball are skipped without consuming budget
         assert not set(final.added) & set(cloud.points)
+
+
+def isometry_perm(cloud, isometry):
+    index = {p: i for i, p in enumerate(cloud.points)}
+    return tuple(index[isometry(p)] for p in cloud.points)
+
+
+def orbit_sizes(n, perms):
+    sizes, seen = [], set()
+    for start in range(n):
+        if start in seen:
+            continue
+        orbit, frontier = {start}, [start]
+        while frontier:
+            v = frontier.pop()
+            for p in perms:
+                if p[v] not in orbit:
+                    orbit.add(p[v])
+                    frontier.append(p[v])
+        seen |= orbit
+        sizes.append(len(orbit))
+    return sorted(sizes)
+
+
+class TestBaseSymmetry:
+    def test_w_d8_maps_alone_fall_back_to_the_full_solve(self, g0_pair):
+        g, cloud = g0_pair
+        perms = [isometry_perm(cloud, f) for f in (lambda x: (x[1], x[0]) + x[2:],
+                                                  lambda x: x[1:] + x[:1],
+                                                  lambda x: (-x[0], -x[1]) + x[2:])]
+        assert orbit_sizes(g.n, perms) == [112, 128]
+        res = ud.max_independent_set(g, automorphisms=perms)
+        assert res.alpha == 16 and res.nodes_explored == 167625
+
+    def test_initial_state_takes_the_checked_pivot(self, g0_pair):
+        g, cloud = g0_pair
+        perms = e8._cloud_automorphisms(cloud)
+        reflect = isometry_perm(cloud, lambda x: tuple(c - sum(x) // 4 for c in x))
+        assert len(perms) == 4 and perms[3] == reflect
+        assert orbit_sizes(g.n, perms) == [240]
+        state = ud.initial_state(g, cloud)
+        assert state.alpha == 16 and state.nodes_explored == 4421
+
+    def test_tiny_clouds_get_no_transitive_set(self):
+        assert e8._cloud_automorphisms(ud.PointCloud(3, ((0, 0, 0), (2, 0, 0)), 4)) == []
+        assert e8._cloud_automorphisms(ud.PointCloud(1, ((0,), (2,)), 4)) == []
+        state = tiny_state([(0, 0, 0), (2, 0, 0), (9, 9, 9)], 4)
+        assert state.alpha == 2
+
+
+def counted_nodes(monkeypatch):
+    """Count solver nodes at the two names e8 searches through."""
+    total = [0]
+    for attr, nodes_of in (("_max_clique_masks", lambda r: r[2]),
+                           ("max_independent_set", lambda r: r.nodes_explored)):
+        def wrapper(*args, _fn=getattr(e8, attr), _nodes_of=nodes_of, **kwargs):
+            result = _fn(*args, **kwargs)
+            total[0] += _nodes_of(result)
+            return result
+        monkeypatch.setattr(e8, attr, wrapper)
+    return total
+
+
+ODD_POINT = (1, 0, 0, 0, 0, 0, 0, 0)
+
+
+class TestVerifyChain:
+    def test_shipped_prefix_node_count(self, monkeypatch):
+        points = ud.shipped_certificate().points[:12]
+        nodes = counted_nodes(monkeypatch)
+        report = ud.verify_certificate(ud.Certificate("gosset-240", points, 16, 16))
+        assert (report.graph_name, report.n_vertices, report.alpha, report.chi_lower) == (
+            "gosset-240+12", 252, 16, 16)
+        assert nodes[0] == 120071
+
+    def test_isolated_point_raises_alpha(self):
+        # An odd-norm point has no neighbour: alpha(G0 + x) = 17.
+        report = ud.verify_certificate(ud.Certificate("gosset-240", (ODD_POINT,), 17, 15))
+        assert report.alpha == 17 and report.chi_lower == 15
+        with pytest.raises(CertificateError) as err:
+            ud.verify_certificate(ud.Certificate("gosset-240", (ODD_POINT,), 16, 16))
+        assert err.value.condition == "alpha-mismatch"
+        assert "recomputed alpha 17" in err.value.detail
+
+    def test_claim_passed_mid_chain_fails_at_once(self, monkeypatch):
+        # The odd point lifts alpha to 17 above the claimed 16, so the
+        # shipped points after it are never decided.
+        points = (ODD_POINT,) + ud.shipped_certificate().points
+        nodes = counted_nodes(monkeypatch)
+        with pytest.raises(CertificateError) as err:
+            ud.verify_certificate(ud.Certificate("gosset-240", points, 16, 19))
+        assert err.value.condition == "alpha-mismatch"
+        assert "recomputed alpha 17 after 1 of 50 points" in err.value.detail
+        assert nodes[0] == 4421
+
+    def test_chain_matches_a_fresh_solve(self, g0_pair):
+        # A rise in the middle of the chain, then points decided against 17.
+        _, cloud = g0_pair
+        points = (ud.shipped_certificate().points[0], ODD_POINT,
+                  ud.shipped_certificate().points[1], NORM_12_POINT)
+        whole = ud.PointCloud(8, cloud.points + points, 16)
+        fresh = ud.max_independent_set(ud.graph_from_points(whole))
+        report = ud.verify_certificate(ud.Certificate(
+            "gosset-240", points, fresh.alpha, ud.ratio_lower_bound(len(whole), fresh.alpha)))
+        assert report.alpha == fresh.alpha == 18
+
+    @pytest.mark.parametrize("node_budget", [1000, 6000])
+    def test_node_budget_gives_bracket(self, node_budget):
+        # 1,000 nodes stop the base solve, 6,000 stop a step of the chain.
+        cert = ud.shipped_certificate()
+        with pytest.raises(CertificateError) as err:
+            ud.verify_certificate(cert, ud.SolveOptions(node_budget=node_budget))
+        assert err.value.condition == "budget"
+        lower, upper = map(int, re.search(r"\[(\d+), (\d+)\]", err.value.detail).groups())
+        assert lower <= 16 <= upper
+        assert (lower == 16) == (node_budget > 4421)  # the base alpha is exact
 
 
 class TestVerifyCertificateChecks:

@@ -5,7 +5,14 @@ import pytest
 
 import unitdist as ud
 from unitdist import solve
-from unitdist.solve import _Budget, _distinct_components, _max_clique_masks, SolveOptions
+from unitdist.solve import (
+    SolveOptions,
+    _Budget,
+    _complement_rows,
+    _degeneracy_order,
+    _distinct_components,
+    _max_clique_masks,
+)
 
 from conftest import random_graph
 from oracles import (
@@ -13,6 +20,7 @@ from oracles import (
     brute_chi,
     brute_k_colorable,
     brute_max_clique,
+    reference_degeneracy_order,
     reference_dsatur,
     reference_max_clique,
 )
@@ -233,6 +241,82 @@ class TestAlphaVertexTransitive:
             assert ud.alpha_vertex_transitive(g, 0).alpha == ud.max_independent_set(g).alpha
 
 
+def rotation(n: int, step: int = 1) -> tuple[int, ...]:
+    return tuple((v + step) % n for v in range(n))
+
+
+class TestAutomorphisms:
+    def test_non_automorphism_rejected(self, g0_pair):
+        g, _ = g0_pair
+        path = ud.Graph.from_edges(3, [(0, 1), (1, 2)])
+        for graph, perm in ((path, (1, 0, 2)), (g, (1, 0) + tuple(range(2, 240)))):
+            with pytest.raises(ValueError, match="not the neighbours"):
+                ud.max_independent_set(graph, automorphisms=[perm])
+
+    @pytest.mark.parametrize("perm", [(0, 0, 2), (0, 1), (0, 1, 3)],
+                             ids=["repeat", "short", "out-of-range"])
+    def test_non_bijection_rejected(self, perm):
+        path = ud.Graph.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="not a permutation"):
+            ud.max_independent_set(path, automorphisms=[(2, 1, 0), perm])
+
+    def test_transitive_set_takes_the_pivot(self):
+        # A rotation moves vertex 0 around a circulant: the solve is the
+        # pivot reduction at 0, node for node.
+        rng = random.Random(5)
+        for _ in range(10):
+            n = rng.randrange(6, 17)
+            offsets = rng.sample(range(1, n // 2 + 1), rng.randrange(1, n // 2))
+            g = ud.Graph.from_edges(n, sorted({tuple(sorted((v, (v + off) % n)))
+                                               for v in range(n) for off in offsets}))
+            got = ud.max_independent_set(g, automorphisms=[rotation(n)])
+            pivot = ud.alpha_vertex_transitive(g, 0)
+            assert (got.alpha, got.witness, got.nodes_explored) == (
+                pivot.alpha, pivot.witness, pivot.nodes_explored)
+            assert got.alpha == brute_alpha(g) and 0 in got.witness
+
+    def test_orbit_short_of_the_graph_searches_it_whole(self):
+        # The reflection of a path moves vertex 0 only onto the other end.
+        rng = random.Random(6)
+        for _ in range(10):
+            n = rng.randrange(3, 30)
+            g = ud.Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+            got = ud.max_independent_set(g, automorphisms=[tuple(range(n - 1, -1, -1))])
+            direct = ud.max_independent_set(g)
+            assert (got.alpha, got.witness, got.nodes_explored) == (
+                direct.alpha, direct.witness, direct.nodes_explored)
+
+    def test_empty_graph_and_no_permutations(self):
+        assert ud.max_independent_set(ud.Graph(0, ()), automorphisms=[()]).alpha == 0
+        g = ud.Graph.from_edges(4, [(0, 1), (2, 3)])
+        assert ud.max_independent_set(g, automorphisms=()).alpha == 2
+
+    def test_shared_budget_counts_every_search(self, h52):
+        g, _ = h52
+        budget = _Budget(SolveOptions())
+        first = ud.max_independent_set(g, budget=budget)
+        second = ud.max_independent_set(g, budget=budget)
+        assert first.nodes_explored == second.nodes_explored > 0
+        assert budget.spent == 2 * first.nodes_explored
+
+
+class TestDegeneracyOrder:
+    def test_matches_reference_scan(self, g0_pair):
+        rng = random.Random(909)
+        g0, _ = g0_pair
+        h114, _ = ud.half_cube(11, 4)
+        h_rows = _complement_rows(h114)
+        cases = [(_complement_rows(g0), g0.full_mask),
+                 (h_rows, h114.full_mask ^ h114.adj[0] ^ 1)]
+        for _ in range(200):
+            g = random_graph(rng, rng.randrange(0, 60), rng.choice([0.1, 0.4, 0.8]))
+            keep = rng.choice([0.3, 0.7, 1.0])
+            pool = sum(1 << v for v in range(g.n) if rng.random() < keep)
+            cases.append((list(g.adj), pool))
+        for adj, pool in cases:
+            assert _degeneracy_order(adj, pool) == reference_degeneracy_order(adj, pool)
+
+
 class TestKColorable:
     def test_c64_six_vs_seven(self):
         g, _ = ud.hamming_graph(6, 4)
@@ -397,6 +481,17 @@ class TestComponents:
             ((sub, maps),) = _distinct_components(g, g.full_mask)
             assert sub.n == size and len(maps) == copies
             assert sorted(v for m in maps for v in m) == list(range(g.n))
+
+    def test_many_small_components_one_group(self):
+        # C(14,14) pairs every vertex with its complement: 8,192 copies of K2.
+        g, _ = ud.hamming_graph(14, 14)
+        ((sub, copies),) = _distinct_components(g, g.full_mask)
+        assert sub.adj == (2, 1) and len(copies) == 8192
+        assert copies[0] == (0, g.n - 1)
+        mis = ud.max_independent_set(g)
+        assert mis.alpha == 8192 and ud.check_independent_set(g, mis.witness)
+        chi = ud.chromatic_number(g)
+        assert chi.chi == 2 and ud.check_coloring(g, chi.coloring, 2)
 
     def test_connected_graph_returned_as_itself(self, slice1045):
         g, _ = slice1045
