@@ -184,6 +184,10 @@ def cmd_augment(args) -> int:
     try:
         if args.budget_seconds < 0:
             raise ValueError("negative time budget")
+        for flag, value in (("candidates", args.budget_candidates),
+                            ("accepted", args.budget_accepted)):
+            if value < -1:
+                raise ValueError(f"--budget-{flag} {value}: use -1 for unlimited")
         pool = _load_pool(args, base_cloud)
     except (OSError, ValueError) as exc:
         print(f"error message={exc}", file=sys.stderr)

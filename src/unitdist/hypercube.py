@@ -13,7 +13,7 @@ the graph at squared adjacency distance u.
 """
 from __future__ import annotations
 
-from .core import Graph, PointCloud, VertexSet, induced_subgraph, mask_from_indices
+from .core import Graph, PointCloud
 
 # Dense bit rows cost n bits per vertex; 2^16 vertices is the practical cap
 # and far beyond the d <= 11 this package is used for.
@@ -36,11 +36,16 @@ def _check_dims(d: int, u: int) -> None:
         raise ValueError(f"u exceeds d: no pair of {d}-bit vectors has Hamming distance {u}")
 
 
+def _flips(d: int, u: int) -> list[int]:
+    """The d-bit masks that flip exactly u coordinates."""
+    return [m for m in range(1, 1 << d) if m.bit_count() == u]
+
+
 def hamming_graph(d: int, u: int) -> tuple[Graph, PointCloud]:
     """C(d, u): 2^d vertices, i ~ j iff popcount(i ^ j) == u."""
     _check_dims(d, u)
     n = 1 << d
-    deltas = [m for m in range(1, n) if m.bit_count() == u]
+    deltas = _flips(d, u)
     adj = [0] * n
     for i in range(n):
         row = 0
@@ -61,11 +66,17 @@ def half_cube(d: int, u: int) -> tuple[Graph, PointCloud]:
     _check_dims(d, u)
     if u % 2 != 0:
         raise ValueError(f"u={u} is odd: parity classes of C({d},{u}) carry no edges")
-    full_graph, full_cloud = hamming_graph(d, u)
-    keep_indices = [i for i in range(1 << d) if i.bit_count() % 2 == 0]
-    keep = VertexSet(full_graph.n, mask_from_indices(keep_indices))
-    sub, _ = induced_subgraph(full_graph, keep)
-    graph = Graph._trusted(sub.n, sub.adj, f"H({d},{u})")
+    # The even-weight vertex of rank k is k followed by its parity bit, so
+    # ranks follow the lexicographic order and x ^ m has rank (x ^ m) >> 1.
+    keep_indices = [(k << 1) | (k.bit_count() & 1) for k in range(1 << (d - 1))]
+    deltas = _flips(d, u)
+    adj = []
+    for x in keep_indices:
+        row = 0
+        for m in deltas:
+            row |= 1 << ((x ^ m) >> 1)
+        adj.append(row)
+    graph = Graph._trusted(len(adj), tuple(adj), f"H({d},{u})")
     cloud = PointCloud(d, tuple(vector_of(i, d) for i in keep_indices), u)
     return graph, cloud
 
@@ -75,11 +86,16 @@ def slice_graph(d: int, u: int, s: int) -> tuple[Graph, PointCloud]:
     _check_dims(d, u)
     if not 0 <= s <= d:
         raise ValueError(f"slice height s={s} out of range 0..{d}")
-    full_graph, _ = hamming_graph(d, u)
     keep_indices = [i for i in range(1 << d) if i.bit_count() == s]
-    keep = VertexSet(full_graph.n, mask_from_indices(keep_indices))
-    sub, _ = induced_subgraph(full_graph, keep)
-    graph = Graph._trusted(sub.n, sub.adj, f"C({d},{u},{s})")
+    rank_bit = {x: 1 << k for k, x in enumerate(keep_indices)}
+    deltas = _flips(d, u)
+    adj = []
+    for x in keep_indices:
+        row = 0
+        for m in deltas:
+            row |= rank_bit.get(x ^ m, 0)
+        adj.append(row)
+    graph = Graph._trusted(len(adj), tuple(adj), f"C({d},{u},{s})")
     cloud = PointCloud(d, tuple(vector_of(i, d) for i in keep_indices), u)
     return graph, cloud
 

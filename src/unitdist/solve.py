@@ -6,12 +6,15 @@ graph, by branch and bound with greedy-coloring upper bounds at every node
 bit-parallel). The branching vertex is always the one in the highest color
 class. Color classes at or below the cut, incumbent size minus clique size,
 are never branched on, so they are only peeled off the candidate pool, not
-recorded. The clique search, like the k-colorability search, keeps an
-explicit stack, so neither is bounded by the interpreter's recursion limit
-and neither changes it. Chromatic numbers are bracketed between
-max(clique bound, ceil(n/alpha)) and a DSATUR coloring, then closed with a
-complete k-colorability search that forces the first occurrence of each new
-color.
+recorded. The clique search labels its pool in reversed degeneracy order,
+so bit i is the vertex at position n - 1 - i: the coloring order is still
+degeneracy order, lowest position first, but that is now the highest bit,
+which one bit_length() finds and indexes tables by. The clique search, like
+the k-colorability search, keeps an explicit stack, so neither is bounded by
+the interpreter's recursion limit and neither changes it. Chromatic numbers
+are bracketed between max(clique bound, ceil(n/alpha)) and a DSATUR
+coloring, then closed with a complete k-colorability search that forces the
+first occurrence of each new color.
 
 DSATUR is written once, over bit masks, and serves both the greedy bound and
 the k-colorability search: forb[c] holds the vertices with a neighbor of color
@@ -233,18 +236,23 @@ def _degeneracy_order(adj: list[int] | tuple[int, ...], pool: int) -> list[int]:
 
 def _relabel(adj, pool: int, order: list[int]) -> list[int]:
     """The rows of the pool's vertices, restricted to pool, with vertex
-    order[i] renamed i."""
-    pos = [0] * len(adj)
+    order[i] renamed i; order lists every vertex of pool.
+
+    Rows are scanned highest bit first: w = row.bit_length() is one more than
+    the top vertex, and indexes both its bit and its new bit."""
+    bit = [0] * (len(adj) + 1)
+    posbit = [0] * (len(adj) + 1)
     for i, v in enumerate(order):
-        pos[v] = i
+        bit[v + 1] = 1 << v
+        posbit[v + 1] = 1 << i
     out = []
     for v in order:
         row = adj[v] & pool
         new_row = 0
         while row:
-            low = row & -row
-            row ^= low
-            new_row |= 1 << pos[low.bit_length() - 1]
+            w = row.bit_length()
+            row ^= bit[w]
+            new_row |= posbit[w]
         out.append(new_row)
     return out
 
@@ -273,24 +281,29 @@ def _max_clique_masks(adj, pool: int, *, initial_best: int = 0, stop_at: int | N
     of "complete", "target", "budget"; the upper bound is the number of greedy
     color classes at the root.
 
-    Each node colors its candidate pool greedily, lowest index first, over the
-    non-neighbor rows of the relabelled graph. A class whose color is at or
-    below the cut best - |clique| can never be branched on, because best only
-    grows, so those classes are peeled without being recorded; the classes
-    above the cut are kept as masks and branched highest color first, highest
-    index first within a class, until the cut (re-read after every child, as
-    best may have grown) is reached. The search keeps an explicit stack of
-    parent frames, so its depth is not bounded by the interpreter's recursion
-    limit.
+    The pool is labelled in reversed degeneracy order: the vertex that
+    degeneracy ordering puts at position i gets bit n - 1 - i. Each node
+    colors its candidate pool greedily, lowest position first, which is
+    highest bit first, so each colored vertex costs one bit_length over two
+    tables built once per call: bit[v] = 1 << (v - 1) and anti[v], the
+    non-neighbor row of vertex v - 1. A class whose color is at or below the
+    cut best - |clique| can never be branched on, because best only grows,
+    so those classes are peeled without being recorded; the classes above
+    the cut are kept as masks and branched highest color first, highest
+    position (lowest bit) first within a class, until the cut (re-read after
+    every child, as best may have grown) is reached. The search keeps an
+    explicit stack of parent frames, so its depth is not bounded by the
+    interpreter's recursion limit.
     """
     if not pool:
         return (0, 0, 0, "complete", 0)
-    order = _degeneracy_order(adj, pool)
+    order = _degeneracy_order(adj, pool)[::-1]
     nbr = _relabel(adj, pool, order)
     n = len(order)
     full = (1 << n) - 1
-    # anti[v + 1] is v's non-neighbor row, so a bit `low` indexes it by low.bit_length().
-    anti = [0] + [full ^ nbr[v] ^ (1 << v) for v in range(n)]
+    # Indexed by v = mask.bit_length(), one more than the mask's top vertex.
+    bit = [0] + [1 << v for v in range(n)]
+    anti = [0] + [full ^ nbr[v] ^ bit[v + 1] for v in range(n)]
     best, best_mask = initial_best, 0
     nodes = 0
     upper = 0
@@ -303,7 +316,7 @@ def _max_clique_masks(adj, pool: int, *, initial_best: int = 0, stop_at: int | N
         nodes += 1
         if nodes & 255 == 0 and budget.exceeded(nodes):
             return (best, _unrelabel(best_mask, order), nodes, "budget", upper)
-        # Greedy color classes over pool, lowest index first; classes 1..cut
+        # Greedy color classes over pool, highest bit first; classes 1..cut
         # cannot lead past best, so they are peeled off without being recorded.
         cut = best - r_size
         rest = pool
@@ -312,17 +325,17 @@ def _max_clique_masks(adj, pool: int, *, initial_best: int = 0, stop_at: int | N
             color += 1
             q = rest
             while q:
-                low = q & -q
-                rest ^= low
-                q &= anti[low.bit_length()]
+                v = q.bit_length()
+                rest ^= bit[v]
+                q &= anti[v]
         classes = []
         while rest:
             color += 1
             q = before = rest
             while q:
-                low = q & -q
-                rest ^= low
-                q &= anti[low.bit_length()]
+                v = q.bit_length()
+                rest ^= bit[v]
+                q &= anti[v]
             classes.append(before ^ rest)
         if not stack:
             upper = color
@@ -335,13 +348,12 @@ def _max_clique_masks(adj, pool: int, *, initial_best: int = 0, stop_at: int | N
                     return (best, _unrelabel(best_mask, order), nodes, "complete", upper)
                 r_size, r_mask, pool, classes, cls, color = stack.pop()
                 continue
-            v = cls.bit_length() - 1
-            low = 1 << v
+            low = cls & -cls
             cls ^= low
             if not cls and classes:
                 cls = classes.pop()
                 color -= 1
-            new_pool = pool & nbr[v]
+            new_pool = pool & nbr[low.bit_length() - 1]
             pool ^= low
             if new_pool:
                 stack.append((r_size, r_mask, pool, classes, cls, color))
@@ -440,17 +452,23 @@ def _transitive_under(g: Graph, automorphisms) -> bool:
 
     p[v] is the image of vertex v. A permutation passes when it is a
     bijection of 0..n-1 and adj[p[v]] equals the image of adj[v] for every
-    v; ValueError names the first one that fails.
+    v; ValueError names the first one that fails. Rows are scanned highest
+    bit first, as in _relabel: pbit[w + 1] is the bit of p[w].
     """
     n = g.n
     adj = g.adj
+    bit = [0] + [1 << w for w in range(n)]
     for i, p in enumerate(automorphisms):
         if sorted(p) != list(range(n)):
             raise ValueError(f"automorphism {i} is not a permutation of the {n} vertices")
+        pbit = [0] + [bit[w + 1] for w in p]
         for v in range(n):
+            row = adj[v]
             image = 0
-            for w in iter_bits(adj[v]):
-                image |= 1 << p[w]
+            while row:
+                w = row.bit_length()
+                row ^= bit[w]
+                image |= pbit[w]
             if adj[p[v]] != image:
                 raise ValueError(f"automorphism {i} maps the neighbours of vertex {v} "
                                  f"onto vertices that are not the neighbours of {p[v]}")

@@ -258,6 +258,15 @@ class TestAugmentAndVerify:
         assert err.startswith("error message=") and "base name=" not in out
         assert not cert_path.exists()
 
+    @pytest.mark.parametrize("flag", ["--budget-candidates", "--budget-accepted"])
+    def test_augment_rejects_budget_below_minus_one(self, capsys, tmp_path, flag):
+        cert_path = tmp_path / "neg.cert"
+        code, out, err = run(capsys, "augment", flag, "-2", "-o", str(cert_path))
+        assert code == EXIT_INVALID
+        assert err.startswith("error message=") and err.count("\n") == 1
+        assert "base name=" not in out
+        assert not cert_path.exists()
+
     def test_verify_tampered_point_fails_fast(self, capsys, tmp_path):
         cert = ud.shipped_certificate()
         bad = ud.Certificate(cert.base, ((9, 9, 9, 9, 9, 9, 9, 9),) + cert.points[1:],

@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 import unitdist as ud
-from unitdist.core import iter_bits, sq_dist
+from unitdist.core import iter_bits, mask_from_indices, sq_dist
 from unitdist.hypercube import vector_of
 
 
@@ -99,6 +99,37 @@ class TestHalfCube:
                 if i != j:
                     assert half.has_edge(i, j) == full.has_edge(vi, vj)
         assert cloud.points == tuple(vector_of(v, 5) for v in evens)
+
+
+def induced_on(d: int, u: int, keep) -> tuple[ud.Graph, list[int]]:
+    """C(d, u) induced on the vertex indices satisfying keep, via the generic
+    induced_subgraph, with the kept indices in order."""
+    full, _ = ud.hamming_graph(d, u)
+    kept = [v for v in range(full.n) if keep(v)]
+    sub, _ = ud.induced_subgraph(full, ud.VertexSet(full.n, mask_from_indices(kept)))
+    return sub, kept
+
+
+class TestDirectBuilders:
+    def test_half_cube_equals_induced_even_half(self):
+        for d in range(2, 12):
+            for u in range(2, d + 1, 2):
+                g, cloud = ud.half_cube(d, u)
+                sub, kept = induced_on(d, u, lambda v: v.bit_count() % 2 == 0)
+                assert g.adj == sub.adj, (d, u)
+                assert g.name == f"H({d},{u})"
+                assert cloud.points == tuple(vector_of(v, d) for v in kept)
+                assert cloud.adjacency_sq_dist == u
+
+    def test_slice_equals_induced_slice(self):
+        for d in range(1, 11):
+            for u in range(1, d + 1):
+                for s in range(d + 1):
+                    g, cloud = ud.slice_graph(d, u, s)
+                    sub, kept = induced_on(d, u, lambda v: v.bit_count() == s)
+                    assert g.adj == sub.adj, (d, u, s)
+                    assert g.name == f"C({d},{u},{s})"
+                    assert cloud.points == tuple(vector_of(v, d) for v in kept)
 
 
 class TestSliceGraph:

@@ -12,6 +12,7 @@ from unitdist.solve import (
     _degeneracy_order,
     _distinct_components,
     _max_clique_masks,
+    _relabel,
 )
 
 from conftest import random_graph
@@ -610,6 +611,51 @@ class TestCliqueKernelAgainstRecursiveReference:
                         statuses[status] += 1
         assert statuses["budget"] >= 40
         assert statuses["target"] >= 40 and statuses["complete"] >= 40
+
+
+    def test_identical_results_on_wide_rows(self):
+        # Rows of 200-700 bits, where the kernel's bit tables and highest-bit
+        # scans run over masks of many machine words: random graphs with
+        # p = 0.5, one inside a random pool, and the complement rows of the
+        # H(10,4) pivot pool (301 of 512 vertices). Budgets cut each search
+        # at a fixed node count, so both kernels must stop at the same node.
+        rng = random.Random(4242)
+        h104, _ = ud.half_cube(10, 4)
+        graphs = [random_graph(rng, n, 0.5) for n in (200, 450, 700)]
+        cases = [(list(g.adj), g.full_mask, 0, None) for g in graphs]
+        cases.append((list(graphs[2].adj),
+                      sum(1 << v for v in range(700) if rng.random() < 0.6), 11, 13))
+        cases.append((_complement_rows(h104), h104.full_mask ^ h104.adj[0] ^ 1, 0, None))
+        for adj, pool, initial_best, stop_at in cases:
+            n = len(adj)
+            sub, index_map = ud.induced_subgraph(ud.Graph(n, tuple(adj)), ud.VertexSet(n, pool))
+            back = list(index_map)
+            budgets = [0, 300, 3000] + ([None] if n == 200 else [])
+            for node_budget in budgets:
+                opts = SolveOptions(node_budget=node_budget)
+                got = _max_clique_masks(adj, pool, initial_best=initial_best, stop_at=stop_at,
+                                        budget=_Budget(opts))
+                value, mask, nodes, status, upper = reference_max_clique(
+                    list(sub.adj), sub.n, initial_best=initial_best, stop_at=stop_at,
+                    options=opts)
+                mapped = sum(1 << back[v] for v in range(sub.n) if mask >> v & 1)
+                assert got == (value, mapped, nodes, status, upper), (n, node_budget)
+                assert status == ("complete" if node_budget is None else "budget")
+
+
+class TestRelabel:
+    def test_matches_set_oracle(self):
+        rng = random.Random(717)
+        for n in (1, 2, 31, 64, 65, 200, 700):
+            g = random_graph(rng, n, rng.choice([0.1, 0.5, 0.9]))
+            for keep in (1.0, 0.5):
+                members = [v for v in range(n) if rng.random() < keep]
+                pool = sum(1 << v for v in members)
+                order = rng.sample(members, len(members))
+                pos = {v: i for i, v in enumerate(order)}
+                expected = [sum(1 << pos[w] for w in members if g.has_edge(v, w))
+                            for v in order]
+                assert _relabel(list(g.adj), pool, order) == expected, (n, keep)
 
 
 class TestComplementDuality:
