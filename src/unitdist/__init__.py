@@ -20,7 +20,6 @@ from .core import (
     ratio_lower_bound,
 )
 from .hypercube import (
-    append_zero_embedding,
     half_cube,
     hamming_graph,
     slice_graph,
@@ -31,13 +30,11 @@ from .e8 import (
     Certificate,
     CertificateError,
     RootSet,
-    addition_preserves_alpha,
     augment_greedy,
     build_g0,
     enumerate_ball,
     gosset_roots,
     initial_state,
-    rational_rescale_check,
     shipped_certificate,
     verify_certificate,
 )

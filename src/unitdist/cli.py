@@ -140,7 +140,7 @@ def cmd_chi(args) -> int:
     return EXIT_OK
 
 
-def _load_pool(args, cloud) -> e8.CandidatePool:
+def _load_pool(args) -> e8.CandidatePool:
     if args.pool_file:
         # Same point rules as the verifier, so augment cannot write a
         # certificate that verify rejects.
@@ -168,11 +168,6 @@ def _load_pool(args, cloud) -> e8.CandidatePool:
     pool = e8.enumerate_ball()
     if args.order == "lex":
         return pool
-    if args.order == "degree":
-        keyed = sorted(
-            pool.points,
-            key=lambda x: (-e8._neighbor_mask(cloud, x).bit_count(), x))
-        return e8.CandidatePool(tuple(keyed), pool.sq_radius)
     rng = random.Random(args.seed)
     shuffled = list(pool.points)
     rng.shuffle(shuffled)
@@ -188,7 +183,7 @@ def cmd_augment(args) -> int:
                             ("accepted", args.budget_accepted)):
             if value < -1:
                 raise ValueError(f"--budget-{flag} {value}: use -1 for unlimited")
-        pool = _load_pool(args, base_cloud)
+        pool = _load_pool(args)
     except (OSError, ValueError) as exc:
         print(f"error message={exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -328,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("augment", help="greedy alpha-preserving augmentation of "
                                        "the 240-vertex Gosset graph")
-    p.add_argument("--order", choices=["lex", "degree", "random"], default="lex")
+    p.add_argument("--order", choices=["lex", "random"], default="lex")
     p.add_argument("--seed", type=int, default=1, help="seed for --order random")
     p.add_argument("--pool-file", default=None,
                    help="candidate points, one per line, instead of the full ball")

@@ -53,14 +53,6 @@ class VertexSet:
     def from_indices(cls, n: int, indices) -> "VertexSet":
         return cls(n, mask_from_indices(indices))
 
-    @classmethod
-    def full(cls, n: int) -> "VertexSet":
-        return cls(n, (1 << n) - 1)
-
-    @classmethod
-    def empty(cls, n: int) -> "VertexSet":
-        return cls(n, 0)
-
     def indices(self) -> tuple[int, ...]:
         return tuple(iter_bits(self.bits))
 
@@ -147,9 +139,6 @@ class Graph:
             higher = self.adj[i] >> (i + 1)
             for off in iter_bits(higher):
                 yield (i, i + 1 + off)
-
-    def vertex_set(self, indices) -> VertexSet:
-        return VertexSet.from_indices(self.n, indices)
 
 
 @dataclass(frozen=True)

@@ -53,15 +53,6 @@ class CertificateError(ValueError):
         super().__init__(f"{condition}: {detail}")
 
 
-class _DecisionStopped(TimeoutError):
-    """The budget ran out before or during one decision; nodes is what the
-    stopped search had spent."""
-
-    def __init__(self, message: str, nodes: int):
-        self.nodes = nodes
-        super().__init__(message)
-
-
 def _is_pair_type(v: Vec) -> bool:
     nonzero = [c for c in v if c != 0]
     return len(nonzero) == 2 and all(abs(c) == 2 for c in nonzero)
@@ -222,18 +213,19 @@ def _alpha_after_adding(graph: Graph, cloud: PointCloud, alpha: int, x: Vec,
     with no neighbor is decided without search: any maximum independent set
     plus x is independent. The witness of a stopped search is re-checked on
     the graph and against x's coordinates before the rejection is returned.
-    A budget spent on entry, or one that stops the search, raises
-    _DecisionStopped, a TimeoutError carrying the nodes the search spent.
+    The search's nodes are charged to the budget; a budget spent on entry, or
+    one that stops the search, raises TimeoutError.
     """
     if budget.exceeded():
-        raise _DecisionStopped(f"solver budget exhausted before testing point {x}", 0)
+        raise TimeoutError(f"solver budget exhausted before testing point {x}")
     if nbr == 0:
         return alpha + 1, 0
     _, mask, nodes, status, _ = _max_clique_masks(
         _complement_rows(graph), graph.full_mask & ~nbr, initial_best=alpha - 1,
         stop_at=alpha, budget=budget)
+    budget.spent += nodes
     if status == "budget":
-        raise _DecisionStopped(f"solver budget exhausted while testing point {x}", nodes)
+        raise TimeoutError(f"solver budget exhausted while testing point {x}")
     if status == "complete":
         return alpha, nodes
     witness = VertexSet(graph.n, mask)
@@ -242,21 +234,6 @@ def _alpha_after_adding(graph: Graph, cloud: PointCloud, alpha: int, x: Vec,
                    for v in witness)):
         raise RuntimeError(f"witness for rejecting point {x} failed its re-check")
     return alpha + 1, nodes
-
-
-def addition_preserves_alpha(state: AugmentationState, x: Vec,
-                             options: SolveOptions | None = None) -> tuple[bool, int]:
-    """Would adding x keep the independence number unchanged?
-
-    Returns (preserved, alpha of the would-be graph). x must not already be a
-    vertex of the current graph.
-    """
-    if x in set(state.cloud.points):
-        raise ValueError(f"point {x} is already a vertex")
-    new_alpha, _ = _alpha_after_adding(
-        state.graph, state.cloud, state.alpha, x, _neighbor_mask(state.cloud, x),
-        _Budget(options or SolveOptions()))
-    return (new_alpha == state.alpha, new_alpha)
 
 
 def initial_state(graph: Graph, cloud: PointCloud,
@@ -287,9 +264,10 @@ def augment_greedy(state: AugmentationState, pool, *,
     rejected without search. Only accepted points pay for a full refutation.
     Points already in the graph are skipped without consuming budget. Budget
     exhaustion terminates the walk with a termination tag distinct from
-    "pool_exhausted". All candidates share one deadline, time_budget seconds
-    away (none if 0); the candidate that meets it ends the walk untested, and
-    the nodes its stopped search spent still count in nodes_explored.
+    "pool_exhausted". All candidates share one budget with one deadline,
+    time_budget seconds away (none if 0); the candidate that meets it ends the
+    walk untested, and the nodes its stopped search spent still count in
+    nodes_explored, which adds the walk's budget.spent to the state's count.
     """
     budget = _Budget(SolveOptions(time_budget=time_budget or None))
     points = pool.points if isinstance(pool, CandidatePool) else tuple(pool)
@@ -298,7 +276,6 @@ def augment_greedy(state: AugmentationState, pool, *,
     added = list(state.added)
     rejected = state.rejected_count
     tested = state.candidates_tested
-    nodes = state.nodes_explored
     present = set(cloud.points)
     termination = "pool_exhausted"
 
@@ -313,13 +290,11 @@ def augment_greedy(state: AugmentationState, pool, *,
             break
         nbr = _neighbor_mask(cloud, x)
         try:
-            new_alpha, step_nodes = _alpha_after_adding(graph, cloud, alpha, x, nbr, budget)
-        except _DecisionStopped as stop:
-            nodes += stop.nodes
+            new_alpha, _ = _alpha_after_adding(graph, cloud, alpha, x, nbr, budget)
+        except TimeoutError:
             termination = "budget_time"
             break
         tested += 1
-        nodes += step_nodes
         if new_alpha == alpha:
             cloud, graph = _extend(cloud, graph, x, nbr)
             present.add(x)
@@ -333,7 +308,7 @@ def augment_greedy(state: AugmentationState, pool, *,
                 log(x, False, alpha)
 
     return AugmentationState(cloud, graph, alpha, tuple(added), rejected,
-                             tested, termination, nodes)
+                             tested, termination, state.nodes_explored + budget.spent)
 
 
 @dataclass(frozen=True)
@@ -437,11 +412,9 @@ def verify_certificate(cert: Certificate,
                 f"already exceeds claimed {cert.claimed_alpha}")
         nbr = _neighbor_mask(cloud, x)
         try:
-            alpha, nodes = _alpha_after_adding(graph, cloud, alpha, x, nbr, budget)
-        except _DecisionStopped as stop:
-            budget.spent += stop.nodes
+            alpha, _ = _alpha_after_adding(graph, cloud, alpha, x, nbr, budget)
+        except TimeoutError:
             raise out_of_budget(alpha, alpha + len(cert.points) - i) from None
-        budget.spent += nodes
         cloud, graph = _extend(cloud, graph, x, nbr)
     if not check_independent_set(graph, VertexSet(graph.n, base.witness.bits)):
         raise RuntimeError("base witness failed its re-check on the final graph")
@@ -457,13 +430,3 @@ def verify_certificate(cert: Certificate,
     return BoundReport(graph_name=f"{cert.base}+{len(cert.points)}", n_vertices=graph.n,
                        alpha=alpha, chi_lower=bound)
 
-
-def rational_rescale_check(cloud: PointCloud) -> bool:
-    """Whether rescaling to unit adjacency distance keeps coordinates rational.
-
-    True iff the squared adjacency distance is a perfect square: dividing all
-    integer coordinates by its integer square root then realizes the graph at
-    unit distance with rational coordinates.
-    """
-    d = cloud.adjacency_sq_dist
-    return isqrt(d) ** 2 == d

@@ -99,15 +99,3 @@ def slice_graph(d: int, u: int, s: int) -> tuple[Graph, PointCloud]:
     cloud = PointCloud(d, tuple(vector_of(i, d) for i in keep_indices), u)
     return graph, cloud
 
-
-def append_zero_embedding(d: int, u: int) -> tuple[int, ...]:
-    """Vertex map of the embedding C(d, u) -> C(d+1, u) that appends a zero.
-
-    Entry i is the image of vertex i. The appended coordinate never differs,
-    so Hamming distances are unchanged and the embedding is induced:
-    edges map to edges and non-edges to non-edges, giving the row
-    monotonicity chi(C(d, u)) <= chi(C(d+1, u)).
-    """
-    _check_dims(d, u)
-    # Appending a zero as the new least-significant (last) coordinate.
-    return tuple(i << 1 for i in range(1 << d))

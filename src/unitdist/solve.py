@@ -27,6 +27,9 @@ vertices one by one.
 
 Each public entry point builds one _Budget from its SolveOptions and hands
 that object to every search it makes; no search builds a budget of its own.
+The function that calls a search adds the nodes the search reports to
+budget.spent straight after the call, so each node is counted once and every
+search of one call draws on one node limit and one deadline.
 max_independent_set also takes a caller's _Budget in place of options, so
 that one budget can cover a chain of searches.
 
@@ -71,7 +74,10 @@ class SolveOptions:
     Budgets default to unlimited; exceeding one yields an explicit incomplete
     or unknown result, never a silently wrong value. The node budget is
     enforced in batches of 256 nodes, so the actual node count may overshoot
-    the limit by up to 256 nodes.
+    the limit by up to 256 nodes. chromatic_number is the one exception: once
+    the limit is passed, each search it still has to make runs to its first
+    check, so a k decided within 256 nodes still tightens the bracket, and
+    each such search can add up to 256 nodes more.
     """
 
     node_budget: int | None = None
@@ -171,11 +177,11 @@ class _Budget:
     """Node limit, deadline and nodes spent of one public call.
 
     Each public entry point, and each augmentation walk, builds one from its
-    SolveOptions and passes it to every search it makes. Searches count their
-    own nodes and consult the budget every 256 nodes, so the node count may
-    overshoot the limit by up to 256. A caller whose searches share the node
-    limit adds each search's nodes to `spent`; one that leaves `spent` alone
-    gives every search the full limit under the one deadline.
+    SolveOptions and passes it to every search it makes. A search counts its
+    own nodes and consults the budget every 256 nodes, with exceeded(nodes),
+    so the node count may overshoot the limit by up to 256. Its caller adds
+    the nodes it reports to `spent` straight after the call; `spent` is the
+    only node tally, and every search of one call shares the node limit.
     """
 
     __slots__ = ("node_limit", "deadline", "spent")
@@ -643,7 +649,7 @@ def k_colorable(g: Graph, k: int, options: SolveOptions | None = None) -> KColor
             outcome = KColorOutcome("uncolorable", None, 0)
         else:
             outcome = _k_color(sub, k, budget)
-        budget.spent += outcome.nodes_explored
+            budget.spent += outcome.nodes_explored
         if outcome.status != "colorable":
             return KColorOutcome(outcome.status, None, budget.spent)
         for copy in copies:
@@ -724,62 +730,55 @@ def _k_color(g: Graph, k: int, budget: _Budget) -> KColorOutcome:
             return KColorOutcome("uncolorable", None, nodes)
 
 
-def _chi_connected(g: Graph, budget: _Budget) -> ColoringResult | ChiBracket:
-    """Exact chromatic number of one connected graph by bracket-and-close."""
+def _chi_connected(g: Graph, budget: _Budget) -> tuple[int, int, tuple[int, ...]]:
+    """(lower, upper, coloring with `upper` colors) for the chromatic number
+    of one connected graph, by bracket-and-close; exact when lower == upper."""
     if g.edge_count() == 0:
-        return ColoringResult(1, (1,) * g.n, 0)
+        return (1, 1, (1,) * g.n)
     upper, upper_coloring = greedy_coloring_bound(g)
     lower = clique_lower_bound(g)
     if lower == upper:  # a clique as large as the coloring closes chi
-        return ColoringResult(upper, upper_coloring, 0)
+        return (upper, upper, upper_coloring)
 
     alpha, _, nodes, status, alpha_upper = _max_clique_masks(
         _complement_rows(g), g.full_mask, budget=budget)
+    budget.spent += nodes
     if status != "complete":
         alpha = min(alpha_upper, g.n)
     lower = max(lower, ratio_lower_bound(g.n, alpha))
 
     # _k_color needs 2 <= k < upper: g has an edge, so its clique bound is 2.
-    k = lower
-    while k < upper:
+    for k in range(lower, upper):
         outcome = _k_color(g, k, budget)
-        nodes += outcome.nodes_explored
+        budget.spent += outcome.nodes_explored
         if outcome.status == "colorable":
-            return ColoringResult(k, outcome.coloring, nodes)
+            return (k, k, outcome.coloring)
         if outcome.status == "unknown":
-            return ChiBracket(k, upper, upper_coloring, nodes)
-        k += 1
-    return ColoringResult(upper, upper_coloring, nodes)
+            return (k, upper, upper_coloring)
+    return (upper, upper, upper_coloring)
 
 
 def chromatic_number(g: Graph, options: SolveOptions | None = None) -> ColoringResult | ChiBracket:
     """Exact chi(g), or the surviving bracket when a budget is exceeded.
 
     chi(g) is the maximum over the connected components. Each distinct
-    component is solved once and its coloring serves every copy. Every
-    search gets the full node budget, and all of them share one deadline.
+    component is solved once and its coloring serves every copy. All the
+    searches of one call share one node budget and one deadline.
     """
     budget = _Budget(options or SolveOptions())
     coloring = [0] * g.n
-    lower = upper = nodes = 0
-    exact = True
+    lower = upper = 0
     reused = False
     for sub, copies in _distinct_components(g, g.full_mask):
-        res = _chi_connected(sub, budget)
-        nodes += res.nodes_explored
-        if isinstance(res, ColoringResult):
-            lower = max(lower, res.chi)
-            upper = max(upper, res.chi)
-        else:
-            exact = False
-            lower = max(lower, res.lower)
-            upper = max(upper, res.upper)
+        sub_lower, sub_upper, sub_coloring = _chi_connected(sub, budget)
+        lower = max(lower, sub_lower)
+        upper = max(upper, sub_upper)
         for copy in copies:
-            for v, c in zip(copy, res.coloring):
+            for v, c in zip(copy, sub_coloring):
                 coloring[v] = c
         reused = reused or len(copies) > 1
     if reused and not check_coloring(g, coloring, upper):
         raise RuntimeError("stitched coloring failed its re-check")
-    if exact:
-        return ColoringResult(upper, tuple(coloring), nodes)
-    return ChiBracket(lower, upper, tuple(coloring), nodes)
+    if lower == upper:
+        return ColoringResult(upper, tuple(coloring), budget.spent)
+    return ChiBracket(lower, upper, tuple(coloring), budget.spent)

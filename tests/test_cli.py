@@ -230,6 +230,18 @@ class TestAugmentAndVerify:
         assert cert.points == shipped.points[:2]
         assert cert.claimed_alpha == 16
 
+    def test_augment_random_order_is_seeded(self, capsys, tmp_path):
+        runs = []
+        for name in ("a.cert", "b.cert"):
+            code, out, _ = run(capsys, "augment", "--order", "random", "--seed", "5",
+                               "--budget-candidates", "3", "-o", str(tmp_path / name))
+            assert code == EXIT_BUDGET
+            runs.append([line for line in out.splitlines() if line.startswith("candidate ")])
+        assert len(runs[0]) == 3 and runs[0] == runs[1]
+        lex_first = ud.enumerate_ball().points[:3]
+        assert [line.split()[1] for line in runs[0]] != [
+            "point=" + ",".join(map(str, x)) for x in lex_first]
+
     @pytest.mark.parametrize("bad_line, message", [
         ("1 1 1 1 1 1 1", "is not an 8-vector"),
         ("3 3 0 0 0 0 0 0", "squared norm > 16"),

@@ -7,7 +7,8 @@ import pytest
 import unitdist as ud
 from unitdist import e8
 from unitdist.core import sq_dist
-from unitdist.e8 import BALL_SQ_RADIUS, CertificateError, _neighbor_mask
+from unitdist.e8 import BALL_SQ_RADIUS, CertificateError, _alpha_after_adding, _neighbor_mask
+from unitdist.solve import SolveOptions, _Budget
 
 
 def dot(a, b):
@@ -141,6 +142,12 @@ def tiny_state(points, sq, options=None):
     return ud.initial_state(graph, cloud, options)
 
 
+def decide(state, x):
+    """(alpha of the state's graph plus x, nodes), by augment's decision."""
+    return _alpha_after_adding(state.graph, state.cloud, state.alpha, x,
+                               _neighbor_mask(state.cloud, x), _Budget(SolveOptions()))
+
+
 class TestAdditionPreservesAlpha:
     def test_universal_neighbor_preserves(self):
         # Two adjacent vertices (alpha = 1); x adjacent to both keeps alpha.
@@ -149,27 +156,19 @@ class TestAdditionPreservesAlpha:
         x = (2, 2, 2, 2, 0, 0, 0, 0)
         assert sq_dist(x, state.cloud.points[0]) == 16
         assert sq_dist(x, state.cloud.points[1]) == 16
-        preserved, new_alpha = ud.addition_preserves_alpha(state, x)
-        assert preserved and new_alpha == 1
+        assert decide(state, x)[0] == 1
 
     def test_isolated_point_increases(self):
         state = tiny_state([(0,) * 8, (4, 0, 0, 0, 0, 0, 0, 0)], 16)
         x = (1, 0, 0, 0, 0, 0, 0, 0)
-        preserved, new_alpha = ud.addition_preserves_alpha(state, x)
-        assert not preserved and new_alpha == 2
-
-    def test_existing_vertex_rejected(self):
-        state = tiny_state([(0, 0), (2, 0)], 4)
-        with pytest.raises(ValueError, match="already a vertex"):
-            ud.addition_preserves_alpha(state, (0, 0))
+        assert decide(state, x) == (2, 0)
 
     def test_first_shipped_points_preserve_alpha(self, g0_pair):
         graph, cloud = g0_pair
         state = ud.initial_state(graph, cloud)
         cert = ud.shipped_certificate()
         for x in cert.points[:3]:
-            preserved, new_alpha = ud.addition_preserves_alpha(state, x)
-            assert preserved and new_alpha == 16
+            assert decide(state, x)[0] == 16
             state = ud.augment_greedy(state, [x])
 
     def test_isolated_point_on_empty_graph(self):
@@ -177,7 +176,7 @@ class TestAdditionPreservesAlpha:
         cloud = ud.PointCloud(2, (), 4)
         state = ud.initial_state(ud.graph_from_points(cloud), cloud)
         assert state.alpha == 0
-        assert ud.addition_preserves_alpha(state, (0, 0)) == (False, 1)
+        assert decide(state, (0, 0)) == (1, 0)
 
     def test_matches_from_scratch_recomputation(self):
         # Random integer clouds; compare the non-neighbor reduction against
@@ -195,11 +194,10 @@ class TestAdditionPreservesAlpha:
                 x = tuple(rng.randrange(-3, 4) for _ in range(dim))
                 if x in pts:
                     continue
-                preserved, new_alpha = ud.addition_preserves_alpha(state, x)
+                new_alpha, _ = decide(state, x)
                 bigger = ud.PointCloud(dim, tuple(pts) + (x,), sq)
                 fresh = ud.max_independent_set(ud.graph_from_points(bigger))
                 assert new_alpha == fresh.alpha
-                assert preserved == (fresh.alpha == state.alpha)
 
 
 class TestAugmentGreedy:
@@ -255,7 +253,7 @@ class TestAugmentGreedy:
         # An exact solve of this point's non-neighbour subgraph takes 20,287
         # nodes; the decision stops at its first independent 16-set.
         state = g0_state
-        assert ud.addition_preserves_alpha(state, NORM_12_POINT) == (False, 17)
+        assert decide(state, NORM_12_POINT) == (17, 16)
         final = ud.augment_greedy(state, [NORM_12_POINT])
         assert final.rejected_count == 1 and final.added == ()
         assert final.nodes_explored - state.nodes_explored == 16
@@ -291,7 +289,7 @@ class TestAugmentGreedy:
         # Odd squared norm: every distance to a root is odd, never 16.
         state = g0_state
         x = (1, 0, 0, 0, 0, 0, 0, 0)
-        assert ud.addition_preserves_alpha(state, x) == (False, 17)
+        assert decide(state, x) == (17, 0)
         final = ud.augment_greedy(state, [x])
         assert final.rejected_count == 1
         assert final.nodes_explored == state.nodes_explored
@@ -462,16 +460,6 @@ class TestVerifyCertificateChecks:
         with pytest.raises(CertificateError) as err:
             ud.verify_certificate(cert)
         assert err.value.condition == "bad-point"
-
-
-class TestRationalRescale:
-    def test_perfect_square_distances(self):
-        for sq, expect in ((16, True), (4, True), (2, False), (3, False), (9, True)):
-            cloud = ud.PointCloud(2, ((0, 0), (5, 5)), sq)
-            assert ud.rational_rescale_check(cloud) is expect
-
-    def test_gosset_cloud_rescalable(self, g0_pair):
-        assert ud.rational_rescale_check(g0_pair[1]) is True
 
 
 class TestNeighborMask:

@@ -407,8 +407,18 @@ class TestChromaticNumber:
         assert res.lower <= 7 <= res.upper
         assert ud.check_coloring(g, res.coloring, res.upper)
 
+    def test_one_node_budget_covers_every_search(self):
+        # The clique bound and every k-colorability search share one limit,
+        # so the count stays within the limit plus one 256-node batch.
+        g, _ = ud.hamming_graph(8, 6)
+        res = ud.chromatic_number(g, ud.SolveOptions(node_budget=100_000))
+        assert isinstance(res, ud.ChiBracket)
+        assert (res.lower, res.upper) == (5, 8)
+        assert res.nodes_explored <= 100_256
+        assert ud.check_coloring(g, res.coloring, res.upper)
+
     def test_row_monotonicity_under_embedding(self):
-        # append_zero_embedding makes C(d, u) an induced subgraph of C(d+1, u)
+        # appending a zero coordinate makes C(d, u) an induced subgraph of C(d+1, u)
         values = []
         for d in range(2, 7):
             res = ud.chromatic_number(ud.hamming_graph(d, 2)[0])
