@@ -201,7 +201,8 @@ def _extend(cloud: PointCloud, graph: Graph, x: Vec, nbr_mask: int) -> tuple[Poi
 
 
 def _alpha_after_adding(graph: Graph, cloud: PointCloud, alpha: int, x: Vec,
-                        nbr: int, budget: _Budget) -> tuple[int, int]:
+                        nbr: int, budget: _Budget,
+                        witnesses: list[int] | None = None) -> tuple[int, int]:
     """(alpha of graph+x, solver nodes), given x's neighbor mask nbr in graph.
 
     alpha(G + x) = max(alpha(G), 1 + alpha(G restricted to non-neighbors of x)),
@@ -211,28 +212,38 @@ def _alpha_after_adding(graph: Graph, cloud: PointCloud, alpha: int, x: Vec,
     such set, which makes alpha(G + x) = alpha + 1 exact; a search that
     completes without one is a refutation, and alpha is preserved. A point
     with no neighbor is decided without search: any maximum independent set
-    plus x is independent. The witness of a stopped search is re-checked on
-    the graph and against x's coordinates before the rejection is returned.
-    The search's nodes are charged to the budget; a budget spent on entry, or
-    one that stops the search, raises TimeoutError.
+    plus x is independent.
+
+    witnesses, when given, holds the vertex masks of independent alpha-sets
+    of graph from earlier rejections; the first one that misses nbr rejects
+    x at 0 nodes, and the set a search finds is appended. Either witness is
+    re-checked on the graph and against x's coordinates before the rejection
+    is returned. The search's nodes are charged to the budget; a budget spent
+    on entry, or one that stops the search, raises TimeoutError.
     """
     if budget.exceeded():
         raise TimeoutError(f"solver budget exhausted before testing point {x}")
     if nbr == 0:
         return alpha + 1, 0
-    _, mask, nodes, status, _ = _max_clique_masks(
-        _complement_rows(graph), graph.full_mask & ~nbr, initial_best=alpha - 1,
-        stop_at=alpha, budget=budget)
-    budget.spent += nodes
-    if status == "budget":
-        raise TimeoutError(f"solver budget exhausted while testing point {x}")
-    if status == "complete":
-        return alpha, nodes
+    nodes = 0
+    cached = next((w for w in witnesses or () if not w & nbr), None)
+    mask = cached
+    if cached is None:
+        _, mask, nodes, status, _ = _max_clique_masks(
+            _complement_rows(graph), graph.full_mask & ~nbr, initial_best=alpha - 1,
+            stop_at=alpha, budget=budget)
+        budget.spent += nodes
+        if status == "budget":
+            raise TimeoutError(f"solver budget exhausted while testing point {x}")
+        if status == "complete":
+            return alpha, nodes
     witness = VertexSet(graph.n, mask)
     if (len(witness) != alpha or not check_independent_set(graph, witness)
             or any(sq_dist(cloud.points[v], x) == cloud.adjacency_sq_dist
                    for v in witness)):
         raise RuntimeError(f"witness for rejecting point {x} failed its re-check")
+    if cached is None and witnesses is not None:
+        witnesses.append(mask)
     return alpha + 1, nodes
 
 
@@ -262,6 +273,10 @@ def augment_greedy(state: AugmentationState, pool, *,
     independent alpha-set among x's non-neighbors, which is exact because one
     point raises alpha by at most one, and a point with no neighbor is
     rejected without search. Only accepted points pay for a full refutation.
+    The walk keeps every rejection's witness: alpha never changes, and the
+    graph only gains vertices, so each stays an independent alpha-set, and a
+    later candidate with no neighbor in one of them is rejected by it at 0
+    nodes, after the same re-check as a searched witness.
     Points already in the graph are skipped without consuming budget. Budget
     exhaustion terminates the walk with a termination tag distinct from
     "pool_exhausted". All candidates share one budget with one deadline,
@@ -278,6 +293,7 @@ def augment_greedy(state: AugmentationState, pool, *,
     tested = state.candidates_tested
     present = set(cloud.points)
     termination = "pool_exhausted"
+    witnesses: list[int] = []
 
     for x in points:
         if x in present:
@@ -290,7 +306,8 @@ def augment_greedy(state: AugmentationState, pool, *,
             break
         nbr = _neighbor_mask(cloud, x)
         try:
-            new_alpha, _ = _alpha_after_adding(graph, cloud, alpha, x, nbr, budget)
+            new_alpha, _ = _alpha_after_adding(graph, cloud, alpha, x, nbr, budget,
+                                                witnesses)
         except TimeoutError:
             termination = "budget_time"
             break

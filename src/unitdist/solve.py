@@ -6,15 +6,17 @@ graph, by branch and bound with greedy-coloring upper bounds at every node
 bit-parallel). The branching vertex is always the one in the highest color
 class. Color classes at or below the cut, incumbent size minus clique size,
 are never branched on, so they are only peeled off the candidate pool, not
-recorded. The clique search labels its pool in reversed degeneracy order,
-so bit i is the vertex at position n - 1 - i: the coloring order is still
-degeneracy order, lowest position first, but that is now the highest bit,
-which one bit_length() finds and indexes tables by. The clique search, like
-the k-colorability search, keeps an explicit stack, so neither is bounded by
-the interpreter's recursion limit and neither changes it. Chromatic numbers
-are bracketed between max(clique bound, ceil(n/alpha)) and a DSATUR
-coloring, then closed with a complete k-colorability search that forces the
-first occurrence of each new color.
+recorded. The clique search labels its pool in degeneracy order, so bit i
+is the vertex at position i of the smallest-last order, and colors highest
+bit first: the last-removed vertices, the core, come first. That is
+smallest-last first-fit, which uses at most degeneracy + 1 colors (Matula
+and Beck, J. ACM 1983), and the highest bit is what one bit_length() finds
+and indexes tables by. The clique search, like the k-colorability search,
+keeps an explicit stack, so neither is bounded by the interpreter's
+recursion limit and neither changes it. Chromatic numbers are bracketed
+between max(clique bound, ceil(n/alpha)) and a DSATUR coloring, then closed
+with a complete k-colorability search that forces the first occurrence of
+each new color.
 
 DSATUR is written once, over bit masks, and serves both the greedy bound and
 the k-colorability search: forb[c] holds the vertices with a neighbor of color
@@ -287,23 +289,24 @@ def _max_clique_masks(adj, pool: int, *, initial_best: int = 0, stop_at: int | N
     of "complete", "target", "budget"; the upper bound is the number of greedy
     color classes at the root.
 
-    The pool is labelled in reversed degeneracy order: the vertex that
-    degeneracy ordering puts at position i gets bit n - 1 - i. Each node
-    colors its candidate pool greedily, lowest position first, which is
-    highest bit first, so each colored vertex costs one bit_length over two
-    tables built once per call: bit[v] = 1 << (v - 1) and anti[v], the
-    non-neighbor row of vertex v - 1. A class whose color is at or below the
-    cut best - |clique| can never be branched on, because best only grows,
-    so those classes are peeled without being recorded; the classes above
-    the cut are kept as masks and branched highest color first, highest
-    position (lowest bit) first within a class, until the cut (re-read after
+    The pool is labelled in degeneracy order: the vertex that degeneracy
+    ordering puts at position i gets bit i. Each node colors its candidate
+    pool greedily, highest bit first, so the last-removed vertices are
+    colored first, and the root takes at most the pool's degeneracy + 1
+    colors (smallest-last first-fit). Each colored vertex costs one
+    bit_length over two tables built once per call: bit[v] = 1 << (v - 1)
+    and anti[v], the non-neighbor row of vertex v - 1. A class whose color is
+    at or below the cut best - |clique| can never be branched on, because
+    best only grows, so those classes are peeled without being recorded; the
+    classes above the cut are kept as masks and branched highest color
+    first, lowest bit first within a class, until the cut (re-read after
     every child, as best may have grown) is reached. The search keeps an
     explicit stack of parent frames, so its depth is not bounded by the
     interpreter's recursion limit.
     """
     if not pool:
         return (0, 0, 0, "complete", 0)
-    order = _degeneracy_order(adj, pool)[::-1]
+    order = _degeneracy_order(adj, pool)
     nbr = _relabel(adj, pool, order)
     n = len(order)
     full = (1 << n) - 1

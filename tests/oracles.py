@@ -182,7 +182,7 @@ def reference_max_clique(adj, n: int, *, initial_best: int = 0, stop_at: int | N
             color_bufs.append([0] * n)
         ob = order_bufs[depth]
         cb = color_bufs[depth]
-        # Greedy color classes over the candidate pool, lowest index first.
+        # Greedy color classes over the candidate pool, highest index first.
         m = 0
         rest = pool
         color = 0
@@ -190,8 +190,8 @@ def reference_max_clique(adj, n: int, *, initial_best: int = 0, stop_at: int | N
             color += 1
             q = rest
             while q:
-                low = q & -q
-                v = low.bit_length() - 1
+                v = q.bit_length() - 1
+                low = 1 << v
                 q = (q ^ low) & ~nbr[v]
                 rest ^= low
                 ob[m] = v

@@ -129,6 +129,8 @@ class TestEnumerateBall:
 
 
 NORM_12_POINT = (0, 1, 1, 0, -2, 1, -2, 1)
+# Norm 12, and no neighbour in the witness that rejects NORM_12_POINT.
+MISSES_NORM_12_WITNESS = (-3, -1, 1, -1, 0, 0, 0, 0)
 
 
 @pytest.fixture(scope="module")
@@ -142,10 +144,11 @@ def tiny_state(points, sq, options=None):
     return ud.initial_state(graph, cloud, options)
 
 
-def decide(state, x):
+def decide(state, x, witnesses=None):
     """(alpha of the state's graph plus x, nodes), by augment's decision."""
     return _alpha_after_adding(state.graph, state.cloud, state.alpha, x,
-                               _neighbor_mask(state.cloud, x), _Budget(SolveOptions()))
+                               _neighbor_mask(state.cloud, x), _Budget(SolveOptions()),
+                               witnesses)
 
 
 class TestAdditionPreservesAlpha:
@@ -250,13 +253,13 @@ class TestAugmentGreedy:
         assert final.rejected_count == 1 and final.nodes_explored == state.nodes_explored
 
     def test_rejection_stops_at_first_witness(self, g0_state):
-        # An exact solve of this point's non-neighbour subgraph takes 20,287
+        # An exact solve of this point's non-neighbour subgraph takes 18,975
         # nodes; the decision stops at its first independent 16-set.
         state = g0_state
-        assert decide(state, NORM_12_POINT) == (17, 16)
+        assert decide(state, NORM_12_POINT) == (17, 21)
         final = ud.augment_greedy(state, [NORM_12_POINT])
         assert final.rejected_count == 1 and final.added == ()
-        assert final.nodes_explored - state.nodes_explored == 16
+        assert final.nodes_explored - state.nodes_explored == 21
 
     @pytest.mark.parametrize("corrupt", [lambda m: m & (m - 1), lambda m: (1 << 16) - 1],
                              ids=["short", "not-independent"])
@@ -271,6 +274,49 @@ class TestAugmentGreedy:
         monkeypatch.setattr(e8, "_max_clique_masks", tampered)
         with pytest.raises(RuntimeError, match="re-check"):
             ud.augment_greedy(state, [NORM_12_POINT])
+
+    def test_cached_witness_rejects_at_zero_nodes(self, g0_state):
+        state = g0_state
+        witnesses = []
+        assert decide(state, NORM_12_POINT, witnesses) == (17, 21)
+        assert len(witnesses) == 1
+        assert decide(state, MISSES_NORM_12_WITNESS, witnesses) == (17, 0)
+        assert len(witnesses) == 1
+        final = ud.augment_greedy(state, [NORM_12_POINT, MISSES_NORM_12_WITNESS])
+        assert final.rejected_count == 2
+        assert final.nodes_explored - state.nodes_explored == 21
+
+    @pytest.mark.parametrize("tamper", ["short", "not-independent"])
+    def test_cached_witness_is_rechecked(self, g0_state, tamper):
+        # Either tampered set still misses the second point's neighbours, so
+        # it is the one the cache offers.
+        state = g0_state
+        witnesses = []
+        decide(state, NORM_12_POINT, witnesses)
+        rest = witnesses[0] & (witnesses[0] - 1)
+        if tamper == "not-independent":
+            nbr = _neighbor_mask(state.cloud, MISSES_NORM_12_WITNESS)
+            rest |= 1 << next(v for v in range(state.graph.n)
+                              if state.graph.adj[v] & rest and not (nbr >> v) & 1)
+        witnesses[0] = rest
+        with pytest.raises(RuntimeError, match="re-check"):
+            decide(state, MISSES_NORM_12_WITNESS, witnesses)
+
+    def test_lex_walk_accepts_what_uncached_decisions_accept(self, g0_state):
+        # The first 300 candidates of the ball, decided once with the walk's
+        # witness cache and once each by its own search.
+        state = g0_state
+        final = ud.augment_greedy(state, ud.enumerate_ball(), max_candidates=300)
+        assert final.candidates_tested == 300 and len(final.added) == 2
+        assert final.nodes_explored - state.nodes_explored == 72429
+        present = set(state.cloud.points)
+        candidates = [x for x in ud.enumerate_ball().points if x not in present][:300]
+        graph, cloud = state.graph, state.cloud
+        for x in candidates:
+            nbr = _neighbor_mask(cloud, x)
+            if _alpha_after_adding(graph, cloud, 16, x, nbr, _Budget(SolveOptions()))[0] == 16:
+                cloud, graph = e8._extend(cloud, graph, x, nbr)
+        assert cloud.points[240:] == final.added
 
     def test_search_stopped_by_deadline_ends_walk_undecided(self, monkeypatch):
         # (9, 9, 9) has no neighbour and is rejected without search; the
@@ -337,7 +383,7 @@ class TestBaseSymmetry:
                                                   lambda x: (-x[0], -x[1]) + x[2:])]
         assert orbit_sizes(g.n, perms) == [112, 128]
         res = ud.max_independent_set(g, automorphisms=perms)
-        assert res.alpha == 16 and res.nodes_explored == 167625
+        assert res.alpha == 16 and res.nodes_explored == 178808
 
     def test_initial_state_takes_the_checked_pivot(self, g0_pair):
         g, cloud = g0_pair
@@ -346,7 +392,7 @@ class TestBaseSymmetry:
         assert len(perms) == 4 and perms[3] == reflect
         assert orbit_sizes(g.n, perms) == [240]
         state = ud.initial_state(g, cloud)
-        assert state.alpha == 16 and state.nodes_explored == 4421
+        assert state.alpha == 16 and state.nodes_explored == 3905
 
     def test_tiny_clouds_get_no_transitive_set(self):
         assert e8._cloud_automorphisms(ud.PointCloud(3, ((0, 0, 0), (2, 0, 0)), 4)) == []
@@ -378,7 +424,7 @@ class TestVerifyChain:
         report = ud.verify_certificate(ud.Certificate("gosset-240", points, 16, 16))
         assert (report.graph_name, report.n_vertices, report.alpha, report.chi_lower) == (
             "gosset-240+12", 252, 16, 16)
-        assert nodes[0] == 120071
+        assert nodes[0] == 120018
 
     def test_isolated_point_raises_alpha(self):
         # An odd-norm point has no neighbour: alpha(G0 + x) = 17.
@@ -398,7 +444,7 @@ class TestVerifyChain:
             ud.verify_certificate(ud.Certificate("gosset-240", points, 16, 19))
         assert err.value.condition == "alpha-mismatch"
         assert "recomputed alpha 17 after 1 of 50 points" in err.value.detail
-        assert nodes[0] == 4421
+        assert nodes[0] == 3905
 
     def test_chain_matches_a_fresh_solve(self, g0_pair):
         # A rise in the middle of the chain, then points decided against 17.
@@ -420,7 +466,7 @@ class TestVerifyChain:
         assert err.value.condition == "budget"
         lower, upper = map(int, re.search(r"\[(\d+), (\d+)\]", err.value.detail).groups())
         assert lower <= 16 <= upper
-        assert (lower == 16) == (node_budget > 4421)  # the base alpha is exact
+        assert (lower == 16) == (node_budget > 3905)  # the base alpha is exact
 
 
 class TestVerifyCertificateChecks:

@@ -124,14 +124,14 @@ class TestMaxIndependentSet:
         g, _ = g0_pair
         res = ud.max_independent_set(g)
         assert isinstance(res, ud.MisResult)
-        assert res.alpha == 16 and res.nodes_explored == 167625
+        assert res.alpha == 16 and res.nodes_explored == 178808
         assert ud.check_independent_set(g, res.witness)
 
     def test_slice_node_count(self, slice1045):
         g, _ = slice1045
         res = ud.max_independent_set(g)
         assert isinstance(res, ud.MisResult)
-        assert res.alpha == 12 and res.nodes_explored == 427490
+        assert res.alpha == 12 and res.nodes_explored == 443815
         assert ud.check_independent_set(g, res.witness)
 
     def test_deep_clique_leaves_recursion_limit_alone(self):
@@ -221,7 +221,7 @@ class TestAlphaVertexTransitive:
         g, _ = ud.hamming_graph(8, 6)
         res = ud.alpha_vertex_transitive(g, 0, ud.SolveOptions(node_budget=50_000))
         assert isinstance(res, ud.MisResult)
-        assert res.alpha == 58 and res.nodes_explored == 18380
+        assert res.alpha == 58 and res.nodes_explored == 16360
         assert 0 in res.witness and ud.check_independent_set(g, res.witness)
 
     def test_pivot_out_of_range(self, h52):
@@ -595,11 +595,13 @@ class TestCliqueKernelAgainstRecursiveReference:
         # bit for bit, for every incumbent, target and budget combination,
         # on the whole graph and inside a random pool mask. The reference
         # searches the pool's induced subgraph; its witness is mapped back.
+        # Graphs reach 99 vertices so that enough searches pass the first
+        # budget check, at 256 nodes, to stop with status "budget".
         rng = random.Random(2024)
         pool_rng = random.Random(2025)
         statuses = {"complete": 0, "target": 0, "budget": 0}
         for _ in range(200):
-            n = rng.randrange(1, 70)
+            n = rng.randrange(1, 100)
             g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7, 0.9]))
             opts = SolveOptions(node_budget=rng.choice([None, 0, 300]))
             keep = pool_rng.choice([0.0, 0.3, 0.6, 0.9])
@@ -651,6 +653,26 @@ class TestCliqueKernelAgainstRecursiveReference:
                 mapped = sum(1 << back[v] for v in range(sub.n) if mask >> v & 1)
                 assert got == (value, mapped, nodes, status, upper), (n, node_budget)
                 assert status == ("complete" if node_budget is None else "budget")
+
+
+class TestRootColouring:
+    def test_at_most_degeneracy_plus_one_colours(self):
+        # The kernel colours its pool first-fit, last-removed vertex of the
+        # smallest-last order first, so each vertex has at most degeneracy
+        # coloured neighbours when it is coloured (Matula & Beck 1983).
+        rng = random.Random(1983)
+        for _ in range(1000):
+            n = rng.randrange(5, 40)
+            g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.3, 0.5]))
+            pool = g.full_mask
+            if rng.random() < 0.5:
+                pool = sum(1 << v for v in range(n) if rng.random() < 0.7)
+            degeneracy, alive = 0, pool
+            for v in reference_degeneracy_order(list(g.adj), pool):
+                degeneracy = max(degeneracy, (g.adj[v] & alive).bit_count())
+                alive ^= 1 << v
+            upper = _max_clique_masks(list(g.adj), pool, budget=_Budget(SolveOptions()))[4]
+            assert upper <= degeneracy + 1, (n, pool)
 
 
 class TestRelabel:
