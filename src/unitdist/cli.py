@@ -48,7 +48,8 @@ def _solve_options(args: argparse.Namespace) -> SolveOptions:
 
 
 def _add_threads_flag(p: argparse.ArgumentParser) -> None:
-    # Kept so existing command lines keep working; the solver is single-threaded.
+    # Kept so existing command lines keep working; it sets nothing. The clique
+    # search splits its root branches across the usable CPUs by itself.
     p.add_argument("--threads", type=int, choices=[1], default=1,
                    help="accepted for compatibility; only 1 is valid")
 

@@ -13,10 +13,24 @@ smallest-last first-fit, which uses at most degeneracy + 1 colors (Matula
 and Beck, J. ACM 1983), and the highest bit is what one bit_length() finds
 and indexes tables by. The clique search, like the k-colorability search,
 keeps an explicit stack, so neither is bounded by the interpreter's
-recursion limit and neither changes it. Chromatic numbers are bracketed
-between max(clique bound, ceil(n/alpha)) and a DSATUR coloring, then closed
-with a complete k-colorability search that forces the first occurrence of
-each new color.
+recursion limit and neither changes it.
+
+The clique search takes its root's branches one at a time. Once a call has
+spent _SPLIT_NODES nodes with at least two branches left, it forks one
+worker per further usable CPU (module split: os.fork, a pipe and marshal,
+loaded only by a search that splits) and shares the branches left among
+the workers and itself, each branch searched from the incumbent of that
+moment, so no incumbent is shared while they run. The results are merged
+in branch order, and a branch whose result the sequential search would
+not have produced is searched again in the calling process: the returned
+value, witness, node count and status are the sequential search's, unless
+a deadline stops it. Nothing is forked on one CPU, or while a second
+thread runs. (McCreesh and Prosser, Algorithms 2013, split at the root the
+same way, with a shared incumbent that makes node counts depend on timing.)
+
+Chromatic numbers are bracketed between max(clique bound, ceil(n/alpha))
+and a DSATUR coloring, then closed with a complete k-colorability search
+that forces the first occurrence of each new color.
 
 DSATUR is written once, over bit masks, and serves both the greedy bound and
 the k-colorability search: forb[c] holds the vertices with a neighbor of color
@@ -57,6 +71,8 @@ bit-reproducible.
 """
 from __future__ import annotations
 
+import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -173,6 +189,11 @@ def check_coloring(g: Graph, coloring: tuple[int, ...], k: int | None = None) ->
 # ---------------------------------------------------------------------------
 # Maximum clique kernel (bit-row branch and bound with coloring bounds)
 # ---------------------------------------------------------------------------
+
+
+# A clique search splits its root branches across processes only after this
+# many nodes: below it, forking costs more than the split can save.
+_SPLIT_NODES = 1 << 14
 
 
 class _Budget:
@@ -300,9 +321,19 @@ def _max_clique_masks(adj, pool: int, *, initial_best: int = 0, stop_at: int | N
     best only grows, so those classes are peeled without being recorded; the
     classes above the cut are kept as masks and branched highest color
     first, lowest bit first within a class, until the cut (re-read after
-    every child, as best may have grown) is reached. The search keeps an
-    explicit stack of parent frames, so its depth is not bounded by the
-    interpreter's recursion limit.
+    every child, as best may have grown) is reached.
+
+    The root's branches are searched one at a time by _search_branch, which
+    carries the call's running node count from one to the next. Once the
+    call has spent _SPLIT_NODES nodes, at a root branch with at least one
+    more to search after it and at least two usable CPUs, the branches left
+    are split across forked processes (split.split_branches), each searched
+    from the incumbent of that moment. They are then merged in branch order:
+    a split result is taken only while the incumbent is still the one it was
+    searched from and, under a node limit, when no budget check inside it
+    could have stopped the search; any other branch is searched here again.
+    So the result, node count included, is the one the sequential search
+    gives, unless a deadline stops the search.
     """
     if not pool:
         return (0, 0, 0, "complete", 0)
@@ -313,48 +344,110 @@ def _max_clique_masks(adj, pool: int, *, initial_best: int = 0, stop_at: int | N
     # Indexed by v = mask.bit_length(), one more than the mask's top vertex.
     bit = [0] + [1 << v for v in range(n)]
     anti = [0] + [full ^ nbr[v] ^ bit[v + 1] for v in range(n)]
+    search = (nbr, bit, anti, stop_at, budget)
+    classes, upper = _colour_classes(full, initial_best, bit, anti)
+    # The root's branches in the order they are taken: (vertex bit, its color,
+    # its neighbours among the vertices not yet branched on).
+    branches = []
+    rest, color = full, upper
+    for cls in reversed(classes):
+        while cls:
+            low = cls & -cls
+            cls ^= low
+            branches.append((low, color, rest & nbr[low.bit_length() - 1]))
+            rest ^= low
+        color -= 1
+
     best, best_mask = initial_best, 0
-    nodes = 0
-    upper = 0
+    nodes = 1  # the root
+    shared, shared_best = None, None  # results of the split, and the incumbent they used
+    for j, (low, color, child) in enumerate(branches):
+        if color <= best:
+            break
+        if shared is None and nodes >= _SPLIT_NODES:
+            todo = [i for i in range(j, len(branches)) if branches[i][1] > best]
+            workers = min(_usable_cpus(), len(todo))
+            shared, shared_best = {}, best
+            if workers >= 2:
+                from . import split  # loaded only by a search that splits
+                shared = split.split_branches(search, branches, todo, best, nodes, workers)
+        got = shared.pop(j, None) if shared else None
+        if got is not None and best == shared_best and _fits_budget(budget, nodes, got):
+            _, value, mask, count, status = got
+            nodes += count
+            if value > best:
+                if not _is_clique(nbr, mask, value):
+                    raise RuntimeError("a clique from a split search failed its re-check")
+                best, best_mask = value, mask
+        else:
+            best, best_mask, nodes, status = _search_branch(search, low, child, best, best_mask,
+                                                            nodes)
+        if status != "complete":
+            return (best, _unrelabel(best_mask, order), nodes, status, upper)
+    return (best, _unrelabel(best_mask, order), nodes, "complete", upper)
+
+
+def _colour_classes(pool: int, cut: int, bit: list[int], anti: list[int]) -> tuple[list[int], int]:
+    """Greedy color classes over pool, highest bit first: (the classes above
+    color `cut`, lowest color first, and the number of colors used). Classes
+    1..cut cannot lead past the incumbent, so they are peeled off without
+    being recorded."""
+    rest = pool
+    color = 0
+    while rest and color < cut:
+        color += 1
+        q = rest
+        while q:
+            v = q.bit_length()
+            rest ^= bit[v]
+            q &= anti[v]
+    classes = []
+    while rest:
+        color += 1
+        q = before = rest
+        while q:
+            v = q.bit_length()
+            rest ^= bit[v]
+            q &= anti[v]
+        classes.append(before ^ rest)
+    return classes, color
+
+
+def _search_branch(search, low: int, pool: int, best: int, best_mask: int,
+                   nodes: int) -> tuple[int, int, int, str]:
+    """One root branch of the clique search: the cliques of vertex `low` (a
+    bit) and of vertices of `pool`, its neighbours not yet branched on.
+
+    search is (nbr, bit, anti, stop_at, budget) of the call. nodes is the
+    call's running node count, which the budget is checked against every 256
+    nodes. Returns (best, best_mask, nodes, status) with the same statuses as
+    _max_clique_masks. The search keeps an explicit stack of parent frames, so
+    its depth is not bounded by the interpreter's recursion limit.
+    """
+    nbr, bit, anti, stop_at, budget = search
+    if not pool:
+        if best < 1:
+            best, best_mask = 1, low
+            if stop_at is not None and best >= stop_at:
+                return (best, best_mask, nodes, "target")
+        return (best, best_mask, nodes, "complete")
     # One frame per clique vertex above the current node: the parent's
     # (clique size, clique mask, pool, unbranched classes, current class, its color).
     stack: list[tuple] = []
-    r_size, r_mask, pool = 0, 0, full
+    r_size, r_mask = 1, low
 
     while True:
         nodes += 1
         if nodes & 255 == 0 and budget.exceeded(nodes):
-            return (best, _unrelabel(best_mask, order), nodes, "budget", upper)
-        # Greedy color classes over pool, highest bit first; classes 1..cut
-        # cannot lead past best, so they are peeled off without being recorded.
-        cut = best - r_size
-        rest = pool
-        color = 0
-        while rest and color < cut:
-            color += 1
-            q = rest
-            while q:
-                v = q.bit_length()
-                rest ^= bit[v]
-                q &= anti[v]
-        classes = []
-        while rest:
-            color += 1
-            q = before = rest
-            while q:
-                v = q.bit_length()
-                rest ^= bit[v]
-                q &= anti[v]
-            classes.append(before ^ rest)
-        if not stack:
-            upper = color
+            return (best, best_mask, nodes, "budget")
+        classes, color = _colour_classes(pool, best - r_size, bit, anti)
         cls = classes.pop() if classes else 0
 
         # Take the next branch, backing up through finished frames.
         while True:
             if not cls or r_size + color <= best:
                 if not stack:
-                    return (best, _unrelabel(best_mask, order), nodes, "complete", upper)
+                    return (best, best_mask, nodes, "complete")
                 r_size, r_mask, pool, classes, cls, color = stack.pop()
                 continue
             low = cls & -cls
@@ -373,7 +466,36 @@ def _max_clique_masks(adj, pool: int, *, initial_best: int = 0, stop_at: int | N
             if r_size >= best:
                 best, best_mask = r_size + 1, r_mask | low
                 if stop_at is not None and best >= stop_at:
-                    return (best, _unrelabel(best_mask, order), nodes, "target", upper)
+                    return (best, best_mask, nodes, "target")
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork safely:
+    on a platform without fork and CPU affinity, or while a second thread
+    runs (a forked child would inherit the other threads' locks held)."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fits_budget(budget: _Budget, nodes: int, result: tuple) -> bool:
+    """Whether a split result for the branch that starts at running count
+    nodes is the sequential one as far as the budget goes: it completed, or
+    reached the target, and under a node limit none of the budget checks
+    the sequential search makes inside the branch, at each multiple of 256,
+    could have stopped it (the last of them is the one that decides)."""
+    status, count = result[4], result[3]
+    if status == "budget":
+        return False
+    last = (nodes + count) & ~255
+    return (budget.node_limit is None or last <= nodes
+            or budget.spent + last <= budget.node_limit)
+
+
+def _is_clique(nbr: list[int], mask: int, size: int) -> bool:
+    """Whether mask has `size` vertices, pairwise adjacent in rows nbr."""
+    return mask.bit_count() == size and all(
+        (mask ^ (1 << v)) & ~nbr[v] == 0 for v in iter_bits(mask))
 
 
 def _complement_rows(g: Graph) -> list[int]:
@@ -394,11 +516,12 @@ def _distinct_components(g: Graph, pool: int) -> list[tuple[Graph, list[tuple[in
     with identical rows are copies, and copy[v] is the vertex of g that
     subgraph vertex v stands for. The relabelling map is sized to the
     component, so many small components cost no more than their own rows. A
-    connected graph searched whole comes back as itself, with the identity
-    as its one copy.
+    pool that is one connected component comes back as g itself, with the
+    identity as its one copy and no relabelled copy built: the caller
+    searches the pool in g's own rows.
     """
     comps = connected_components(g, pool)
-    if len(comps) == 1 and pool == g.full_mask:
+    if len(comps) == 1:
         return [(g, [tuple(range(g.n))])]
     groups: dict[tuple[int, ...], tuple[Graph, list[tuple[int, ...]]]] = {}
     for comp in comps:
@@ -419,11 +542,12 @@ def _mis(g: Graph, pool: int, bits: int, budget: _Budget) -> MisResult | MisInco
     most vertices of pool, none of which has a neighbor in `bits`.
 
     Each distinct component inside pool is searched once, as a maximum clique
-    of its complement, and its witness serves every copy; the budget's nodes
-    and deadline are spent across the components in turn. When they run out,
-    the lower bound is the size of the stitched witness, and the upper bound
-    adds to |bits| each searched component's certified bound and each
-    unsearched component's size, once per copy.
+    of its complement (in g's own rows when the pool is one component), and
+    its witness serves every copy; the budget's nodes and deadline are spent
+    across the components in turn. When they run out, the lower bound is the
+    size of the stitched witness, and the upper bound adds to |bits| each
+    searched component's certified bound and each unsearched component's
+    size, once per copy.
     """
     t0 = time.perf_counter()
     spent_before = budget.spent
@@ -431,16 +555,17 @@ def _mis(g: Graph, pool: int, bits: int, budget: _Budget) -> MisResult | MisInco
     complete = True
     reused = False
     for sub, copies in _distinct_components(g, pool):
+        sub_pool = pool if sub is g else sub.full_mask
         if budget.exceeded():
             complete = False
-            upper += sub.n * len(copies)
+            upper += sub_pool.bit_count() * len(copies)
             continue
         value, mask, nodes, status, sub_upper = _max_clique_masks(
-            _complement_rows(sub), sub.full_mask, budget=budget)
+            _complement_rows(sub), sub_pool, budget=budget)
         budget.spent += nodes
         if status != "complete":
             complete = False
-            value = min(sub_upper, sub.n)
+            value = min(sub_upper, sub_pool.bit_count())
         upper += value * len(copies)
         for copy in copies:
             bits |= _unrelabel(mask, copy)

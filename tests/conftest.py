@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -33,3 +34,14 @@ def g0_pair():
 def random_graph(rng: random.Random, n: int, p: float, name: str = "") -> ud.Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return ud.Graph.from_edges(n, edges, name=name)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        leftover = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process: waitpid gave {leftover}")

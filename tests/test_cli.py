@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import unitdist as ud
@@ -241,6 +246,29 @@ class TestAugmentAndVerify:
         lex_first = ud.enumerate_ball().points[:3]
         assert [line.split()[1] for line in runs[0]] != [
             "point=" + ",".join(map(str, x)) for x in lex_first]
+
+    def test_augment_prints_each_line_once_under_split(self, tmp_path):
+        # Standard output to a pipe is block-buffered, so lines printed before
+        # a fork sit in the buffer each worker inherits; a worker that flushed
+        # it on exit would print them twice. Every search that can is split.
+        shipped = ud.shipped_certificate()
+        pool_path = tmp_path / "pool.txt"
+        pool_path.write_text(
+            "\n".join(" ".join(str(c) for c in p) for p in shipped.points[:2]) + "\n")
+        script = ("import sys; from unitdist import cli, solve; solve._SPLIT_NODES = 0; "
+                  "solve._usable_cpus = lambda: 2; sys.exit(cli.main(sys.argv[1:]))")
+        src = str(Path(ud.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "augment", "--pool-file", str(pool_path),
+             "-o", str(tmp_path / "two.cert")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line.split()[0] for line in lines] == [
+            "config", "base", "candidate", "candidate", "result", "wrote"]
+        assert len(set(lines)) == len(lines)
 
     @pytest.mark.parametrize("bad_line, message", [
         ("1 1 1 1 1 1 1", "is not an 8-vector"),

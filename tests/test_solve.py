@@ -1,10 +1,14 @@
+import os
 import random
+import signal
 import sys
+import threading
+import time
 
 import pytest
 
 import unitdist as ud
-from unitdist import solve
+from unitdist import solve, split
 from unitdist.solve import (
     SolveOptions,
     _Budget,
@@ -508,6 +512,17 @@ class TestComponents:
         g, _ = slice1045
         assert _distinct_components(g, g.full_mask) == [(g, [tuple(range(g.n))])]
 
+    def test_one_component_pool_searched_in_place(self, h52):
+        # The pivot's 5 non-neighbours in H(5,2) are one component: no
+        # relabelled copy, and a search stopped before it starts bounds alpha
+        # by the pool's size, not the graph's.
+        g, _ = h52
+        pool = g.full_mask ^ g.adj[0] ^ 1
+        assert _distinct_components(g, pool) == [(g, [tuple(range(g.n))])]
+        res = ud.alpha_vertex_transitive(g, 0, ud.SolveOptions(time_budget=1e-9))
+        assert isinstance(res, ud.MisIncomplete)
+        assert (res.lower_bound, res.upper_bound) == (1, 1 + pool.bit_count())
+
     def test_chi_connected_runs_once_per_distinct_component(self, monkeypatch):
         sizes = []
         real = solve._chi_connected
@@ -653,6 +668,150 @@ class TestCliqueKernelAgainstRecursiveReference:
                 mapped = sum(1 << back[v] for v in range(sub.n) if mask >> v & 1)
                 assert got == (value, mapped, nodes, status, upper), (n, node_budget)
                 assert status == ("complete" if node_budget is None else "budget")
+
+
+class TestCliqueKernelSplitAcrossProcesses(TestCliqueKernelAgainstRecursiveReference):
+    """The recursive-reference cases again, with the root branches split
+    across two processes from the first branch on: every tuple, budget stops
+    included, must still be the sequential one."""
+
+    @pytest.fixture(autouse=True)
+    def force_split(self, monkeypatch):
+        monkeypatch.setattr(solve, "_SPLIT_NODES", 0)
+        monkeypatch.setattr(solve, "_usable_cpus", lambda: 2)
+        splits = []
+        real = split.split_branches
+
+        def counted(*args):
+            splits.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(split, "split_branches", counted)
+        yield
+        assert len(splits) >= 5
+
+
+def split_cases():
+    """Clique searches whose root has many branches, with and without an
+    incumbent and a target, each also under a node limit that stops it
+    halfway: (adj, pool, keywords)."""
+    rng = random.Random(1313)
+    cases = []
+    for n, p in ((40, 0.5), (99, 0.6), (120, 0.7)):
+        g = random_graph(rng, n, p)
+        adj = list(g.adj)
+        omega = _max_clique_masks(adj, g.full_mask, budget=_Budget(SolveOptions()))[0]
+        for initial_best, stop_at in ((0, None), (omega - 1, omega), (omega, None)):
+            nodes = _max_clique_masks(adj, g.full_mask, initial_best=initial_best,
+                                      stop_at=stop_at, budget=_Budget(SolveOptions()))[2]
+            for node_budget in (None, nodes // 2):
+                cases.append((adj, g.full_mask,
+                              dict(initial_best=initial_best, stop_at=stop_at,
+                                   budget=SolveOptions(node_budget=node_budget))))
+    return cases
+
+
+def run_cases(cases):
+    return [_max_clique_masks(adj, pool, **dict(kw, budget=_Budget(kw["budget"])))
+            for adj, pool, kw in cases]
+
+
+class TestSplitRobustness:
+    """Whatever goes wrong with a forked worker, the kernel returns the
+    sequential tuples; a failure of the caller leaves no process behind."""
+
+    @pytest.fixture
+    def cases(self, monkeypatch):
+        cases = split_cases()
+        monkeypatch.setattr(solve, "_usable_cpus", lambda: 1)
+        expected = run_cases(cases)
+        monkeypatch.setattr(solve, "_SPLIT_NODES", 0)
+        monkeypatch.setattr(solve, "_usable_cpus", lambda: 3)
+        return cases, expected
+
+    def test_split_matches_sequential(self, cases):
+        cases, expected = cases
+        assert run_cases(cases) == expected
+
+    def test_fork_failure_searches_every_branch_here(self, cases, monkeypatch):
+        cases, expected = cases
+
+        def no_fork():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert run_cases(cases) == expected
+
+    @pytest.mark.parametrize("crash", ["raise", "kill"])
+    def test_crashed_worker_branches_searched_again(self, cases, monkeypatch, crash):
+        cases, expected = cases
+        caller = os.getpid()
+        real = split._search_share
+
+        def share(*args):
+            if os.getpid() != caller:
+                if crash == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("worker crash")
+            return real(*args)
+
+        monkeypatch.setattr(split, "_search_share", share)
+        assert run_cases(cases) == expected
+
+    def test_worker_clique_is_rechecked(self, cases, monkeypatch):
+        cases, _ = cases
+        real = split._search_share
+
+        def share(search, branches, todo, best, nodes):
+            # Report every improvement with one vertex too few.
+            return [(j, value, mask & (mask - 1) if value > best else mask, count, status)
+                    for j, value, mask, count, status in real(search, branches, todo, best, nodes)]
+
+        monkeypatch.setattr(split, "_search_share", share)
+        adj, pool, _ = cases[-1]
+        with pytest.raises(RuntimeError, match="re-check"):
+            _max_clique_masks(adj, pool, budget=_Budget(SolveOptions()))
+
+    def test_exception_after_fork_kills_and_reaps_workers(self, cases, monkeypatch):
+        cases, _ = cases
+        caller = os.getpid()
+
+        def share(*args):
+            if os.getpid() == caller:
+                raise RuntimeError("caller fails after the fork")
+            time.sleep(60)  # the workers are still running when the caller raises
+
+        monkeypatch.setattr(split, "_search_share", share)
+        adj, pool, _ = cases[-1]
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="after the fork"):
+            _max_clique_masks(adj, pool, budget=_Budget(SolveOptions()))
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_cpu_never_forks(self, cases, monkeypatch):
+        cases, expected = cases
+        monkeypatch.undo()
+        monkeypatch.setattr(solve, "_SPLIT_NODES", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+        def fork():
+            raise AssertionError("forked with one usable CPU")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert run_cases(cases) == expected
+
+    def test_no_split_while_another_thread_runs(self):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert solve._usable_cpus() == 1
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 class TestRootColouring:
