@@ -13,6 +13,7 @@ from .core import (
     Graph,
     PointCloud,
     VertexSet,
+    cloud_automorphisms,
     connected_components,
     degree_profile,
     graph_from_points,
@@ -45,7 +46,6 @@ from .solve import (
     MisIncomplete,
     MisResult,
     SolveOptions,
-    alpha_vertex_transitive,
     check_coloring,
     check_independent_set,
     chromatic_number,

@@ -16,14 +16,13 @@ import time
 from pathlib import Path
 
 from . import e8, formats, hypercube
-from .core import degree_profile, ratio_lower_bound
+from .core import cloud_automorphisms, degree_profile, ratio_lower_bound
 from .e8 import CertificateError
 from .solve import (
     ChiBracket,
     ColoringResult,
     MisIncomplete,
     SolveOptions,
-    alpha_vertex_transitive,
     chromatic_number,
     max_independent_set,
 )
@@ -95,15 +94,16 @@ def cmd_alpha(args) -> int:
     try:
         graph = formats.read_graph(args.graph)
         opts = _solve_options(args)
+        automorphisms = []
+        coords_path = Path(args.graph).with_suffix(".coords")
+        if args.graph.endswith(".graph") and coords_path.exists():
+            cloud = formats.read_point_cloud(coords_path)
+            if len(cloud) != graph.n:
+                raise ValueError(f"{coords_path} has {len(cloud)} points "
+                                 f"for {graph.n} vertices")
+            automorphisms = cloud_automorphisms(cloud)
+        res = max_independent_set(graph, opts, automorphisms)
     except (OSError, ValueError) as exc:
-        print(f"error message={exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        if args.transitive_pivot is not None:
-            res = alpha_vertex_transitive(graph, args.transitive_pivot, opts)
-        else:
-            res = max_independent_set(graph, opts)
-    except ValueError as exc:
         print(f"error message={exc}", file=sys.stderr)
         return EXIT_INVALID
     if isinstance(res, MisIncomplete):
@@ -308,10 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("alpha", help="exact maximum independent set")
-    p.add_argument("graph", help="graph file")
-    p.add_argument("--transitive-pivot", type=int, default=None,
-                   help="pivot vertex for the vertex-transitive reduction "
-                        "(only valid on vertex-transitive graphs)")
+    p.add_argument("graph", help="graph file; a .coords sidecar gives checked symmetry")
     p.add_argument("--witness", default=None, help="witness output path")
     _add_budget_flags(p, seconds=900.0)
     p.set_defaults(func=cmd_alpha)

@@ -198,6 +198,43 @@ def graph_from_points(cloud: PointCloud, name: str = "") -> Graph:
     return Graph._trusted(n, tuple(adj), name)
 
 
+def cloud_automorphisms(cloud: PointCloud) -> list[tuple[int, ...]]:
+    """Vertex permutations of the cloud's graph induced by integer isometries.
+
+    Six isometries of R^dim are tried: swap x0 and x1, the cyclic shift of
+    the coordinates, negate x0 and x1, complement x0 (x0 -> 1 - x0),
+    complement x0 and x1, and the reflection in the hyperplane orthogonal to
+    (1, ..., 1), x -> x - (2 sum(x) / dim)(1, ..., 1). One that maps the
+    cloud's points onto themselves keeps every squared distance, so it
+    permutes the vertices as an automorphism; the others are dropped. With
+    the swap and the shift, the complements make C(d,u), H(d,u) and C(d,u,s)
+    vertex-transitive. On the Gosset roots the first three and the
+    reflection are kept: the first three generate W(D8), whose two orbits
+    are the 112 pair-type and the 128 sign-type roots, and the reflection
+    joins them. The solver re-checks every permutation before it uses one.
+    """
+    dim = cloud.dim
+    if dim < 2:
+        return []
+
+    def reflect(x: tuple[int, ...]) -> tuple[int, ...] | None:
+        shift, rest = divmod(2 * sum(x), dim)
+        return None if rest else tuple(c - shift for c in x)
+
+    index = {p: i for i, p in enumerate(cloud.points)}
+    perms = []
+    for isometry in (lambda x: (x[1], x[0]) + x[2:],
+                     lambda x: x[1:] + x[:1],
+                     lambda x: (-x[0], -x[1]) + x[2:],
+                     lambda x: (1 - x[0],) + x[1:],
+                     lambda x: (1 - x[0], 1 - x[1]) + x[2:],
+                     reflect):
+        perm = tuple(index.get(isometry(p), -1) for p in cloud.points)
+        if -1 not in perm:
+            perms.append(perm)
+    return perms
+
+
 def induced_subgraph(g: Graph, keep: VertexSet) -> tuple[Graph, dict[int, int]]:
     """Subgraph induced on ``keep``, plus the old->new index map.
 

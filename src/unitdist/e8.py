@@ -23,6 +23,7 @@ from .core import (
     Graph,
     PointCloud,
     VertexSet,
+    cloud_automorphisms,
     graph_from_points,
     ratio_lower_bound,
     sq_dist,
@@ -104,39 +105,6 @@ def build_g0() -> tuple[Graph, PointCloud]:
     roots = gosset_roots().roots
     cloud = PointCloud(8, roots, GOSSET_ADJ_SQ_DIST)
     return graph_from_points(cloud, name=GOSSET_BASE_NAME), cloud
-
-
-def _cloud_automorphisms(cloud: PointCloud) -> list[tuple[int, ...]]:
-    """Vertex permutations of the cloud's graph induced by integer isometries.
-
-    Four isometries of R^dim are tried: swap x0 and x1, the cyclic shift of
-    the coordinates, negate x0 and x1, and the reflection in the hyperplane
-    orthogonal to (1, ..., 1), x -> x - (2 sum(x) / dim)(1, ..., 1), which in
-    dimension 8 is x - (sum(x) / 4)(1, ..., 1). One that maps the cloud's
-    points onto themselves keeps every squared distance, so it permutes the
-    vertices as an automorphism; the others are dropped. On the Gosset roots
-    all four are kept: the first three generate W(D8), whose two orbits are
-    the 112 pair-type and the 128 sign-type roots, and the reflection joins
-    them. The solver re-checks every permutation before it uses one.
-    """
-    dim = cloud.dim
-    if dim < 2:
-        return []
-
-    def reflect(x: Vec) -> Vec | None:
-        shift, rest = divmod(2 * sum(x), dim)
-        return None if rest else tuple(c - shift for c in x)
-
-    index = {p: i for i, p in enumerate(cloud.points)}
-    perms = []
-    for isometry in (lambda x: (x[1], x[0]) + x[2:],
-                     lambda x: x[1:] + x[:1],
-                     lambda x: (-x[0], -x[1]) + x[2:],
-                     reflect):
-        perm = tuple(index.get(isometry(p), -1) for p in cloud.points)
-        if -1 not in perm:
-            perms.append(perm)
-    return perms
 
 
 @dataclass(frozen=True)
@@ -251,11 +219,11 @@ def initial_state(graph: Graph, cloud: PointCloud,
                   options: SolveOptions | None = None) -> AugmentationState:
     """Augmentation state for a base graph, solving its alpha exactly.
 
-    The solver gets the cloud's automorphisms (_cloud_automorphisms) and
+    The solver gets the cloud's automorphisms (core.cloud_automorphisms) and
     checks them; on a vertex-transitive base such as the Gosset graph it
     then searches only the non-neighbours of one vertex.
     """
-    res = max_independent_set(graph, options, _cloud_automorphisms(cloud))
+    res = max_independent_set(graph, options, cloud_automorphisms(cloud))
     if not isinstance(res, MisResult):
         raise TimeoutError("solver budget exhausted while computing base alpha")
     return AugmentationState(cloud, graph, res.alpha, (), 0, 0,
@@ -416,7 +384,7 @@ def verify_certificate(cert: Certificate,
             "budget", f"solver budget exhausted after {budget.spent} nodes "
                       f"at bracket [{lower}, {upper}]")
 
-    base = max_independent_set(graph, automorphisms=_cloud_automorphisms(cloud),
+    base = max_independent_set(graph, automorphisms=cloud_automorphisms(cloud),
                                budget=budget)
     if not isinstance(base, MisResult):
         raise out_of_budget(base.lower_bound, base.upper_bound + len(cert.points))

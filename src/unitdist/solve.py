@@ -54,8 +54,9 @@ permutations as automorphisms, checks each against the adjacency rows
 (adj[p[v]] must be the image of adj[v]; ValueError otherwise), and when the
 orbit of vertex 0 under them is the whole graph, the graph is
 vertex-transitive and vertex 0 is put into the independent set up front:
-only its non-neighbours are searched. alpha_vertex_transitive makes the
-same reduction on the caller's word, without a check.
+only its non-neighbours are searched. core.cloud_automorphisms derives
+such permutations from a point cloud, which the command line reads from
+the .coords sidecar that `build` writes.
 
 The public entry points split a disconnected graph, or the pool mask they
 search, into its connected components and solve each distinct component
@@ -537,9 +538,9 @@ def _distinct_components(g: Graph, pool: int) -> list[tuple[Graph, list[tuple[in
 # ---------------------------------------------------------------------------
 
 
-def _mis(g: Graph, pool: int, bits: int, budget: _Budget) -> MisResult | MisIncomplete:
+def _mis(g: Graph, pool: int, bits: int, budget: _Budget, t0: float) -> MisResult | MisIncomplete:
     """A maximum independent set of g: the independent set `bits` plus the
-    most vertices of pool, none of which has a neighbor in `bits`.
+    most vertices of pool, none of which has a neighbor in `bits`, timed from t0.
 
     Each distinct component inside pool is searched once, as a maximum clique
     of its complement (in g's own rows when the pool is one component), and
@@ -549,7 +550,6 @@ def _mis(g: Graph, pool: int, bits: int, budget: _Budget) -> MisResult | MisInco
     searched component's certified bound and each unsearched component's
     size, once per copy.
     """
-    t0 = time.perf_counter()
     spent_before = budget.spent
     upper = bits.bit_count()
     complete = True
@@ -624,20 +624,21 @@ def max_independent_set(g: Graph, options: SolveOptions | None = None, automorph
     """Exact alpha(g) with witness, or the certified bracket of a spent budget.
 
     automorphisms is a sequence of vertex permutations of g, p[v] being the
-    image of v; each is checked against the adjacency rows first, and one
-    that is not an automorphism raises ValueError. When the orbit of vertex 0
-    under them is all of g, g is vertex-transitive, so some maximum
-    independent set contains vertex 0, and only its non-neighbours are
-    searched, as in alpha_vertex_transitive(g, 0). Otherwise the whole graph
-    is searched. A caller that spends one budget over several searches
-    passes it as `budget` instead of options.
+    image of v, as from core.cloud_automorphisms; each is checked against
+    the adjacency rows first, and one that is not an automorphism raises
+    ValueError. When the orbit of vertex 0 under them is all of g, g is
+    vertex-transitive, so some maximum independent set contains vertex 0,
+    and only its non-neighbours are searched. Otherwise the whole graph is
+    searched. A caller that spends one budget over several searches passes
+    it as `budget` instead of options. wall_time covers the whole call.
     """
+    t0 = time.perf_counter()
     transitive = _transitive_under(g, automorphisms)
     if budget is None:
         budget = _Budget(options or SolveOptions())
     if transitive:
-        return _mis(g, g.full_mask ^ g.adj[0] ^ 1, 1, budget)
-    return _mis(g, g.full_mask, 0, budget)
+        return _mis(g, g.full_mask ^ g.adj[0] ^ 1, 1, budget, t0)
+    return _mis(g, g.full_mask, 0, budget, t0)
 
 
 def alpha_vertex_transitive(g: Graph, pivot: int,
@@ -647,14 +648,15 @@ def alpha_vertex_transitive(g: Graph, pivot: int,
     Valid only when the caller knows g is vertex-transitive: some maximum
     independent set then contains the pivot, so alpha(g) equals one plus the
     independence number of the subgraph induced on the pivot's non-neighbors,
-    searched as a pool mask of g. That subgraph need not be vertex-transitive,
-    so the reduction is never nested. max_independent_set makes the same
-    reduction once automorphisms it has checked prove g vertex-transitive.
+    searched as a pool mask of g. It is not exported, and only the
+    benchmark's alpha_exact workload (perfbench) calls it; it goes with
+    ROADMAP item 1's benchmark change, which moves that workload to
+    max_independent_set with automorphisms the solver checks.
     """
     if not 0 <= pivot < g.n:
         raise ValueError(f"pivot {pivot} out of range")
     return _mis(g, g.full_mask ^ g.adj[pivot] ^ (1 << pivot), 1 << pivot,
-                _Budget(options or SolveOptions()))
+                _Budget(options or SolveOptions()), time.perf_counter())
 
 
 def clique_lower_bound(g: Graph) -> int:

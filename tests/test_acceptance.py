@@ -101,9 +101,9 @@ def test_criterion_3_slice_alpha_12():
 
 
 def test_criterion_4_half_cube_10_4():
-    g, _ = ud.half_cube(10, 4)
+    g, cloud = ud.half_cube(10, 4)
     t0 = time.perf_counter()
-    res = ud.alpha_vertex_transitive(g, 0)
+    res = ud.max_independent_set(g, None, ud.cloud_automorphisms(cloud))
     elapsed = time.perf_counter() - t0
     bound = ud.ratio_lower_bound(g.n, res.alpha)
     ok = (isinstance(res, ud.MisResult) and res.alpha == 20 and bound == 26
@@ -113,9 +113,10 @@ def test_criterion_4_half_cube_10_4():
 
 
 def test_criterion_5_half_cube_11_4_budgeted():
-    g, _ = ud.half_cube(11, 4)
+    g, cloud = ud.half_cube(11, 4)
     t0 = time.perf_counter()
-    res = ud.alpha_vertex_transitive(g, 0, ud.SolveOptions(node_budget=150_000))
+    res = ud.max_independent_set(g, ud.SolveOptions(node_budget=150_000),
+                                 ud.cloud_automorphisms(cloud))
     elapsed = time.perf_counter() - t0
     if isinstance(res, ud.MisResult):
         lower = upper = res.alpha
@@ -319,14 +320,14 @@ class TestCriterion10Properties:
 
     def test_single_thread_determinism_every_path(self, g0_pair):
         t0 = time.perf_counter()
-        g, _ = ud.half_cube(6, 4)
+        g, cloud = ud.half_cube(6, 4)
         first = ud.max_independent_set(g)
         second = ud.max_independent_set(g)
         assert (first.alpha, first.witness, first.nodes_explored) == \
                (second.alpha, second.witness, second.nodes_explored)
 
-        piv1 = ud.alpha_vertex_transitive(g, 0)
-        piv2 = ud.alpha_vertex_transitive(g, 0)
+        piv1 = ud.max_independent_set(g, None, ud.cloud_automorphisms(cloud))
+        piv2 = ud.max_independent_set(g, None, ud.cloud_automorphisms(cloud))
         assert (piv1.alpha, piv1.witness) == (piv2.alpha, piv2.witness)
 
         k1 = ud.k_colorable(g, 6)

@@ -64,6 +64,16 @@ def h52_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def slice_prefix(capsys, tmp_path):
+    """C(10,4,5) written by `build`, with its .coords sidecar."""
+    prefix = tmp_path / "s"
+    code, _, _ = run(capsys, "build", "slice", "-d", "10", "-u", "4", "-s", "5",
+                     "-o", str(prefix))
+    assert code == EXIT_OK
+    return prefix
+
+
 class TestAlpha:
     def test_alpha_h52(self, capsys, h52_file, tmp_path):
         witness = tmp_path / "w.witness"
@@ -73,11 +83,6 @@ class TestAlpha:
         assert "ratio_bound=8" in out
         loaded = formats.read_independent_set_witness(witness, h52_file)
         assert len(loaded) == 2
-
-    def test_alpha_transitive_pivot(self, capsys, h52_file):
-        code, out, _ = run(capsys, "alpha", str(h52_file), "--transitive-pivot", "0")
-        assert code == EXIT_OK
-        assert "alpha=2" in out
 
     def test_alpha_edgeless_fixture(self, capsys, tmp_path):
         g = ud.Graph(5, (0,) * 5, name="edgeless-5")
@@ -108,11 +113,40 @@ class TestAlpha:
         code, _, err = run(capsys, "alpha", str(tmp_path / "nope.graph"))
         assert code == EXIT_INVALID
 
-    def test_alpha_pivot_out_of_range(self, capsys, h52_file):
-        code, _, err = run(capsys, "alpha", str(h52_file),
-                           "--transitive-pivot", "99")
+    def test_alpha_takes_checked_symmetry_from_the_sidecar(self, capsys, slice_prefix):
+        g, cloud = ud.slice_graph(10, 4, 5)
+        expect = ud.max_independent_set(g, None, ud.cloud_automorphisms(cloud))
+        code, out, _ = run(capsys, "alpha", f"{slice_prefix}.graph")
+        assert code == EXIT_OK
+        assert f"result alpha=12 ratio_bound=21 n=252 nodes={expect.nodes_explored} " in out
+
+    def test_alpha_without_sidecar_searches_whole(self, capsys, slice_prefix):
+        Path(f"{slice_prefix}.coords").unlink()
+        expect = ud.max_independent_set(ud.slice_graph(10, 4, 5)[0])
+        code, out, _ = run(capsys, "alpha", f"{slice_prefix}.graph")
+        assert code == EXIT_OK
+        assert f"result alpha=12 ratio_bound=21 n=252 nodes={expect.nodes_explored} " in out
+
+    def test_alpha_rejects_a_sidecar_that_does_not_fit(self, capsys, slice_prefix):
+        coords = Path(f"{slice_prefix}.coords")
+        cloud = formats.read_point_cloud(coords)
+        points = list(cloud.points)
+        formats.write_point_cloud(ud.PointCloud(10, tuple(points[1:]), 4), coords)
+        code, _, err = run(capsys, "alpha", f"{slice_prefix}.graph")
         assert code == EXIT_INVALID
-        assert "pivot" in err
+        assert "has 251 points for 252 vertices" in err
+        # Two points swapped: the shift no longer maps rows onto rows.
+        points[0], points[1] = points[1], points[0]
+        formats.write_point_cloud(ud.PointCloud(10, tuple(points), 4), coords)
+        code, _, err = run(capsys, "alpha", f"{slice_prefix}.graph")
+        assert code == EXIT_INVALID
+        assert "not the neighbours" in err
+
+    def test_alpha_has_no_transitive_pivot_option(self, capsys, h52_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["alpha", str(h52_file), "--transitive-pivot", "0"])
+        assert exc.value.code == EXIT_INVALID
+        assert "unrecognized arguments: --transitive-pivot" in capsys.readouterr().err
 
 
 class TestChi:

@@ -386,17 +386,22 @@ class TestBaseSymmetry:
         assert res.alpha == 16 and res.nodes_explored == 178808
 
     def test_initial_state_takes_the_checked_pivot(self, g0_pair):
+        # The two complements x0 -> 1 - x0 and (x0, x1) -> (1 - x0, 1 - x1)
+        # do not map the roots onto themselves, so the same four are kept.
         g, cloud = g0_pair
-        perms = e8._cloud_automorphisms(cloud)
-        reflect = isometry_perm(cloud, lambda x: tuple(c - sum(x) // 4 for c in x))
-        assert len(perms) == 4 and perms[3] == reflect
+        perms = ud.cloud_automorphisms(cloud)
+        assert perms == [isometry_perm(cloud, f) for f in (
+            lambda x: (x[1], x[0]) + x[2:],
+            lambda x: x[1:] + x[:1],
+            lambda x: (-x[0], -x[1]) + x[2:],
+            lambda x: tuple(c - sum(x) // 4 for c in x))]
         assert orbit_sizes(g.n, perms) == [240]
         state = ud.initial_state(g, cloud)
         assert state.alpha == 16 and state.nodes_explored == 3905
 
     def test_tiny_clouds_get_no_transitive_set(self):
-        assert e8._cloud_automorphisms(ud.PointCloud(3, ((0, 0, 0), (2, 0, 0)), 4)) == []
-        assert e8._cloud_automorphisms(ud.PointCloud(1, ((0,), (2,)), 4)) == []
+        assert ud.cloud_automorphisms(ud.PointCloud(3, ((0, 0, 0), (2, 0, 0)), 4)) == []
+        assert ud.cloud_automorphisms(ud.PointCloud(1, ((0,), (2,)), 4)) == []
         state = tiny_state([(0, 0, 0), (2, 0, 0), (9, 9, 9)], 4)
         assert state.alpha == 2
 

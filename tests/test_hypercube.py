@@ -5,6 +5,7 @@ import pytest
 import unitdist as ud
 from unitdist.core import iter_bits, mask_from_indices, sq_dist
 from unitdist.hypercube import vector_of
+from unitdist.solve import _transitive_under
 
 
 def hamming(i: int, j: int) -> int:
@@ -168,6 +169,40 @@ class TestSliceGraph:
                     lo, hi, regular = ud.degree_profile(g)
                     assert regular
                     assert lo == expect
+
+
+class TestCloudAutomorphisms:
+    # The swap and the cyclic shift generate every coordinate permutation,
+    # and a slice keeps only those. Complementing x0 adds the translation by
+    # e0 on C(d,u), and complementing x0 and x1 the translation by e0 + e1,
+    # which keeps the parity of H(d,u). Either way the orbit of vertex 0 is
+    # the whole graph, and every permutation passes the solver's check.
+    @pytest.mark.parametrize("d,u", [(2, 1), (3, 2), (5, 2), (6, 4), (8, 6)])
+    def test_cube_is_transitive(self, d, u):
+        g, cloud = ud.hamming_graph(d, u)
+        perms = ud.cloud_automorphisms(cloud)
+        assert len(perms) == 4  # swap, shift and both complements
+        assert _transitive_under(g, perms)
+
+    @pytest.mark.parametrize("d,u", [(3, 2), (4, 2), (6, 2), (6, 4), (8, 6), (10, 4)])
+    def test_half_cube_is_transitive(self, d, u):
+        g, cloud = ud.half_cube(d, u)
+        perms = ud.cloud_automorphisms(cloud)
+        assert len(perms) == 3  # swap, shift and the two-coordinate complement
+        assert _transitive_under(g, perms)
+
+    @pytest.mark.parametrize("d,u,s", [(4, 2, 2), (5, 2, 2), (6, 4, 3), (7, 2, 3), (10, 4, 5)])
+    def test_slice_is_transitive(self, d, u, s):
+        g, cloud = ud.slice_graph(d, u, s)
+        perms = ud.cloud_automorphisms(cloud)
+        assert len(perms) == 2  # swap and shift
+        assert _transitive_under(g, perms)
+
+    def test_slice_solve_takes_the_checked_pivot(self, slice1045):
+        g, cloud = slice1045
+        res = ud.max_independent_set(g, None, ud.cloud_automorphisms(cloud))
+        assert res.alpha == 12 and res.nodes_explored == 14341
+        assert 0 in res.witness and ud.check_independent_set(g, res.witness)
 
 
 class TestAppendZeroEmbedding:

@@ -203,7 +203,7 @@ class TestAlphaVertexTransitive:
         g, _ = h52
         direct = ud.max_independent_set(g).alpha
         for pivot in (0, 3, 15):
-            res = ud.alpha_vertex_transitive(g, pivot)
+            res = solve.alpha_vertex_transitive(g, pivot)
             assert res.alpha == direct == 2
             assert pivot in res.witness
             assert ud.check_independent_set(g, res.witness)
@@ -217,20 +217,20 @@ class TestAlphaVertexTransitive:
     def test_complete_graph_any_pivot(self):
         g = complete_graph(5)
         for pivot in range(5):
-            assert ud.alpha_vertex_transitive(g, pivot).alpha == 1
+            assert solve.alpha_vertex_transitive(g, pivot).alpha == 1
 
     def test_c86_pivot_subgraph_split_into_components(self):
         # The pivot's non-neighbors are 99 vertices of its own half plus the
         # whole other half; each is searched on its own.
         g, _ = ud.hamming_graph(8, 6)
-        res = ud.alpha_vertex_transitive(g, 0, ud.SolveOptions(node_budget=50_000))
+        res = solve.alpha_vertex_transitive(g, 0, ud.SolveOptions(node_budget=50_000))
         assert isinstance(res, ud.MisResult)
         assert res.alpha == 58 and res.nodes_explored == 16360
         assert 0 in res.witness and ud.check_independent_set(g, res.witness)
 
     def test_pivot_out_of_range(self, h52):
         with pytest.raises(ValueError):
-            ud.alpha_vertex_transitive(h52[0], 16)
+            solve.alpha_vertex_transitive(h52[0], 16)
 
     def test_agrees_with_direct_on_circulants(self):
         # circulant graphs are vertex-transitive
@@ -243,7 +243,7 @@ class TestAlphaVertexTransitive:
                 for off in offsets:
                     edges.add(tuple(sorted((v, (v + off) % n))))
             g = ud.Graph.from_edges(n, sorted(edges))
-            assert ud.alpha_vertex_transitive(g, 0).alpha == ud.max_independent_set(g).alpha
+            assert solve.alpha_vertex_transitive(g, 0).alpha == ud.max_independent_set(g).alpha
 
 
 def rotation(n: int, step: int = 1) -> tuple[int, ...]:
@@ -275,7 +275,7 @@ class TestAutomorphisms:
             g = ud.Graph.from_edges(n, sorted({tuple(sorted((v, (v + off) % n)))
                                                for v in range(n) for off in offsets}))
             got = ud.max_independent_set(g, automorphisms=[rotation(n)])
-            pivot = ud.alpha_vertex_transitive(g, 0)
+            pivot = solve.alpha_vertex_transitive(g, 0)
             assert (got.alpha, got.witness, got.nodes_explored) == (
                 pivot.alpha, pivot.witness, pivot.nodes_explored)
             assert got.alpha == brute_alpha(g) and 0 in got.witness
@@ -290,6 +290,24 @@ class TestAutomorphisms:
             direct = ud.max_independent_set(g)
             assert (got.alpha, got.witness, got.nodes_explored) == (
                 direct.alpha, direct.witness, direct.nodes_explored)
+
+    def test_wall_time_covers_the_automorphism_check(self, monkeypatch):
+        # The check runs before any search; both result types time the
+        # whole call, the check included.
+        real = solve._transitive_under
+
+        def slow(g, automorphisms):
+            time.sleep(0.2)
+            return real(g, automorphisms)
+
+        monkeypatch.setattr(solve, "_transitive_under", slow)
+        g = ud.Graph.from_edges(6, [(v, (v + 1) % 6) for v in range(6)])
+        done = ud.max_independent_set(g, automorphisms=[rotation(6)])
+        stopped = ud.max_independent_set(g, ud.SolveOptions(time_budget=1e-9),
+                                         automorphisms=[rotation(6)])
+        assert isinstance(done, ud.MisResult) and done.alpha == 3
+        assert isinstance(stopped, ud.MisIncomplete)
+        assert done.wall_time >= 0.2 and stopped.wall_time >= 0.2
 
     def test_empty_graph_and_no_permutations(self):
         assert ud.max_independent_set(ud.Graph(0, ()), automorphisms=[()]).alpha == 0
@@ -519,7 +537,7 @@ class TestComponents:
         g, _ = h52
         pool = g.full_mask ^ g.adj[0] ^ 1
         assert _distinct_components(g, pool) == [(g, [tuple(range(g.n))])]
-        res = ud.alpha_vertex_transitive(g, 0, ud.SolveOptions(time_budget=1e-9))
+        res = solve.alpha_vertex_transitive(g, 0, ud.SolveOptions(time_budget=1e-9))
         assert isinstance(res, ud.MisIncomplete)
         assert (res.lower_bound, res.upper_bound) == (1, 1 + pool.bit_count())
 
