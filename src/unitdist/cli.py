@@ -4,8 +4,10 @@ Every subcommand prints its full resolved configuration as a key=value line
 before doing any work, so output files are self-describing, and logs are
 line-oriented key=value records for downstream scripting.
 
-Exit statuses: 0 success, 2 invalid input, 3 verification failure,
-4 budget exhaustion.
+Exit statuses: 0 success, 2 invalid input (a bad value or file, or an
+output path the command cannot write), 3 verification failure, 4 budget
+exhaustion. Commands raise OSError or ValueError for status 2, and `main`
+alone turns that into one `error` line on standard error.
 """
 from __future__ import annotations
 
@@ -64,21 +66,16 @@ def _add_budget_flags(p: argparse.ArgumentParser, seconds: float) -> None:
 
 def cmd_build(args) -> int:
     family = args.family
-    try:
-        if family == "cube":
-            graph, cloud = hypercube.hamming_graph(args.d, args.u)
-        elif family == "half":
-            graph, cloud = hypercube.half_cube(args.d, args.u)
-        elif family == "slice":
-            if args.s is None:
-                print("error message=slice requires -s", file=sys.stderr)
-                return EXIT_INVALID
-            graph, cloud = hypercube.slice_graph(args.d, args.u, args.s)
-        else:
-            graph, cloud = e8.build_g0()
-    except ValueError as exc:
-        print(f"error message={exc}", file=sys.stderr)
-        return EXIT_INVALID
+    if family == "cube":
+        graph, cloud = hypercube.hamming_graph(args.d, args.u)
+    elif family == "half":
+        graph, cloud = hypercube.half_cube(args.d, args.u)
+    elif family == "slice":
+        if args.s is None:
+            raise ValueError("slice requires -s")
+        graph, cloud = hypercube.slice_graph(args.d, args.u, args.s)
+    else:
+        graph, cloud = e8.build_g0()
     graph_path = Path(f"{args.out}.graph")
     coords_path = Path(f"{args.out}.coords")
     formats.write_graph(graph, graph_path)
@@ -91,21 +88,17 @@ def cmd_build(args) -> int:
 
 
 def cmd_alpha(args) -> int:
-    try:
-        graph = formats.read_graph(args.graph)
-        opts = _solve_options(args)
-        automorphisms = []
-        coords_path = Path(args.graph).with_suffix(".coords")
-        if args.graph.endswith(".graph") and coords_path.exists():
-            cloud = formats.read_point_cloud(coords_path)
-            if len(cloud) != graph.n:
-                raise ValueError(f"{coords_path} has {len(cloud)} points "
-                                 f"for {graph.n} vertices")
-            automorphisms = cloud_automorphisms(cloud)
-        res = max_independent_set(graph, opts, automorphisms)
-    except (OSError, ValueError) as exc:
-        print(f"error message={exc}", file=sys.stderr)
-        return EXIT_INVALID
+    graph = formats.read_graph(args.graph)
+    opts = _solve_options(args)
+    automorphisms = []
+    coords_path = Path(args.graph).with_suffix(".coords")
+    if args.graph.endswith(".graph") and coords_path.exists():
+        cloud = formats.read_point_cloud(coords_path)
+        if len(cloud) != graph.n:
+            raise ValueError(f"{coords_path} has {len(cloud)} points "
+                             f"for {graph.n} vertices")
+        automorphisms = cloud_automorphisms(cloud)
+    res = max_independent_set(graph, opts, automorphisms)
     if isinstance(res, MisIncomplete):
         print(f"incomplete alpha_lower={res.lower_bound} alpha_upper={res.upper_bound} "
               f"nodes={res.nodes_explored} seconds={res.wall_time:.2f}")
@@ -120,12 +113,8 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_chi(args) -> int:
-    try:
-        graph = formats.read_graph(args.graph)
-        opts = _solve_options(args)
-    except (OSError, ValueError) as exc:
-        print(f"error message={exc}", file=sys.stderr)
-        return EXIT_INVALID
+    graph = formats.read_graph(args.graph)
+    opts = _solve_options(args)
     t0 = time.perf_counter()
     res = chromatic_number(graph, opts)
     elapsed = time.perf_counter() - t0
@@ -165,29 +154,25 @@ def _load_pool(args) -> e8.CandidatePool:
                 raise formats.FormatError(f"pool point {x} listed twice", line=line_no)
             seen.add(x)
             points.append(x)
-        return e8.CandidatePool(tuple(points), e8.BALL_SQ_RADIUS)
-    pool = e8.enumerate_ball()
+        pool = e8.CandidatePool(tuple(points), e8.BALL_SQ_RADIUS)
+    else:
+        pool = e8.enumerate_ball()
     if args.order == "lex":
         return pool
-    rng = random.Random(args.seed)
     shuffled = list(pool.points)
-    rng.shuffle(shuffled)
+    random.Random(args.seed).shuffle(shuffled)
     return e8.CandidatePool(tuple(shuffled), pool.sq_radius)
 
 
 def cmd_augment(args) -> int:
+    if args.budget_seconds < 0:
+        raise ValueError("negative time budget")
+    for flag, value in (("candidates", args.budget_candidates),
+                        ("accepted", args.budget_accepted)):
+        if value < -1:
+            raise ValueError(f"--budget-{flag} {value}: use -1 for unlimited")
+    pool = _load_pool(args)
     base_graph, base_cloud = e8.build_g0()
-    try:
-        if args.budget_seconds < 0:
-            raise ValueError("negative time budget")
-        for flag, value in (("candidates", args.budget_candidates),
-                            ("accepted", args.budget_accepted)):
-            if value < -1:
-                raise ValueError(f"--budget-{flag} {value}: use -1 for unlimited")
-        pool = _load_pool(args)
-    except (OSError, ValueError) as exc:
-        print(f"error message={exc}", file=sys.stderr)
-        return EXIT_INVALID
     state = e8.initial_state(base_graph, base_cloud)
     print(f"base name={base_graph.name} n={base_graph.n} alpha={state.alpha}")
 
@@ -218,11 +203,7 @@ def cmd_augment(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        cert = formats.read_certificate(args.certificate)
-    except (OSError, ValueError) as exc:
-        print(f"error message={exc}", file=sys.stderr)
-        return EXIT_INVALID
+    cert = formats.read_certificate(args.certificate)
     try:
         report = e8.verify_certificate(cert)
     except CertificateError as exc:
@@ -250,14 +231,10 @@ def _parse_range(spec: str) -> list[int]:
 
 
 def cmd_table(args) -> int:
-    try:
-        dims = _parse_range(args.d)
-        if min(args.u) < 1:
-            raise ValueError(f"Hamming distance u={min(args.u)} must be at least 1")
-        opts = _solve_options(args)
-    except ValueError as exc:
-        print(f"error message={exc}", file=sys.stderr)
-        return EXIT_INVALID
+    dims = _parse_range(args.d)
+    if min(args.u) < 1:
+        raise ValueError(f"Hamming distance u={min(args.u)} must be at least 1")
+    opts = _solve_options(args)
     rows: list[formats.TableRow] = []
     for u in args.u:
         for d in dims:
@@ -357,8 +334,11 @@ def main(argv: list[str] | None = None) -> int:
     _print_config(args)
     try:
         return args.func(args)
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so it must come first
         return EXIT_OK
+    except (OSError, ValueError) as exc:
+        print(f"error message={exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -41,20 +41,27 @@ def _flips(d: int, u: int) -> list[int]:
     return [m for m in range(1, 1 << d) if m.bit_count() == u]
 
 
+def _family(d: int, u: int, keep: list[int], name: str) -> tuple[Graph, PointCloud]:
+    """The subgraph of C(d, u) induced on the sorted vertex list keep, with its cloud."""
+    bit = [0] * (1 << d)
+    for rank, x in enumerate(keep):
+        bit[x] = 1 << rank
+    deltas = _flips(d, u)
+    adj = []
+    for x in keep:
+        row = 0
+        for m in deltas:
+            row |= bit[x ^ m]
+        adj.append(row)
+    graph = Graph._trusted(len(adj), tuple(adj), name)
+    cloud = PointCloud(d, tuple(vector_of(i, d) for i in keep), u)
+    return graph, cloud
+
+
 def hamming_graph(d: int, u: int) -> tuple[Graph, PointCloud]:
     """C(d, u): 2^d vertices, i ~ j iff popcount(i ^ j) == u."""
     _check_dims(d, u)
-    n = 1 << d
-    deltas = _flips(d, u)
-    adj = [0] * n
-    for i in range(n):
-        row = 0
-        for m in deltas:
-            row |= 1 << (i ^ m)
-        adj[i] = row
-    graph = Graph._trusted(n, tuple(adj), f"C({d},{u})")
-    cloud = PointCloud(d, tuple(vector_of(i, d) for i in range(n)), u)
-    return graph, cloud
+    return _family(d, u, list(range(1 << d)), f"C({d},{u})")
 
 
 def half_cube(d: int, u: int) -> tuple[Graph, PointCloud]:
@@ -66,19 +73,8 @@ def half_cube(d: int, u: int) -> tuple[Graph, PointCloud]:
     _check_dims(d, u)
     if u % 2 != 0:
         raise ValueError(f"u={u} is odd: parity classes of C({d},{u}) carry no edges")
-    # The even-weight vertex of rank k is k followed by its parity bit, so
-    # ranks follow the lexicographic order and x ^ m has rank (x ^ m) >> 1.
-    keep_indices = [(k << 1) | (k.bit_count() & 1) for k in range(1 << (d - 1))]
-    deltas = _flips(d, u)
-    adj = []
-    for x in keep_indices:
-        row = 0
-        for m in deltas:
-            row |= 1 << ((x ^ m) >> 1)
-        adj.append(row)
-    graph = Graph._trusted(len(adj), tuple(adj), f"H({d},{u})")
-    cloud = PointCloud(d, tuple(vector_of(i, d) for i in keep_indices), u)
-    return graph, cloud
+    keep = [i for i in range(1 << d) if i.bit_count() % 2 == 0]
+    return _family(d, u, keep, f"H({d},{u})")
 
 
 def slice_graph(d: int, u: int, s: int) -> tuple[Graph, PointCloud]:
@@ -86,16 +82,5 @@ def slice_graph(d: int, u: int, s: int) -> tuple[Graph, PointCloud]:
     _check_dims(d, u)
     if not 0 <= s <= d:
         raise ValueError(f"slice height s={s} out of range 0..{d}")
-    keep_indices = [i for i in range(1 << d) if i.bit_count() == s]
-    rank_bit = {x: 1 << k for k, x in enumerate(keep_indices)}
-    deltas = _flips(d, u)
-    adj = []
-    for x in keep_indices:
-        row = 0
-        for m in deltas:
-            row |= rank_bit.get(x ^ m, 0)
-        adj.append(row)
-    graph = Graph._trusted(len(adj), tuple(adj), f"C({d},{u},{s})")
-    cloud = PointCloud(d, tuple(vector_of(i, d) for i in keep_indices), u)
-    return graph, cloud
-
+    keep = [i for i in range(1 << d) if i.bit_count() == s]
+    return _family(d, u, keep, f"C({d},{u},{s})")

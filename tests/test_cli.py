@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import unitdist as ud
-from unitdist import formats
+from unitdist import cli, formats
 from unitdist.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -101,13 +102,13 @@ class TestAlpha:
         assert "incomplete" in out
         assert "alpha_lower=" in out and "alpha_upper=" in out
 
-    def test_alpha_solves_c86_one_half_at_a_time(self, capsys, tmp_path):
+    def test_alpha_solves_c86_with_sidecar_symmetry_over_both_halves(self, capsys, tmp_path):
         prefix = tmp_path / "c86"
         code, _, _ = run(capsys, "build", "cube", "-d", "8", "-u", "6", "-o", str(prefix))
         assert code == EXIT_OK
         code, out, _ = run(capsys, "alpha", f"{prefix}.graph", "--budget-nodes", "50000")
         assert code == EXIT_OK
-        assert "result alpha=58 " in out
+        assert "result alpha=58 ratio_bound=5 n=256 nodes=16360 " in out
 
     def test_alpha_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "alpha", str(tmp_path / "nope.graph"))
@@ -242,6 +243,34 @@ class TestInvalidInput:
         assert err.startswith("error message=") and len(err.splitlines()) == 1
 
 
+def _write_pool(path, points):
+    path.write_text("".join(" ".join(map(str, x)) + "\n" for x in points))
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("command", ["build", "alpha", "chi", "augment"])
+    def test_unwritable_output_exits_invalid(self, capsys, h52_file, tmp_path, command):
+        missing = tmp_path / "missing"
+        argv = {
+            "build": ["build", "cube", "-d", "3", "-u", "1", "-o", str(missing / "x")],
+            "alpha": ["alpha", str(h52_file), "--witness", str(missing / "w")],
+            "chi": ["chi", str(h52_file), "--witness", str(missing / "w")],
+            "augment": ["augment", "--budget-candidates", "0", "-o", str(missing / "x.cert")],
+        }[command]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_INVALID
+        assert err.startswith("error message=") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not missing.exists()
+
+    def test_program_fault_is_not_absorbed(self, monkeypatch, h52_file):
+        def fail(*args, **kwargs):
+            raise RuntimeError("witness failed its re-check")
+        monkeypatch.setattr(cli, "max_independent_set", fail)
+        with pytest.raises(RuntimeError, match="re-check"):
+            main(["alpha", str(h52_file)])
+
+
 class TestAugmentAndVerify:
     def test_augment_empty_budget(self, capsys, tmp_path):
         cert_path = tmp_path / "empty.cert"
@@ -258,8 +287,7 @@ class TestAugmentAndVerify:
     def test_augment_pool_file_prefix(self, capsys, tmp_path):
         shipped = ud.shipped_certificate()
         pool_path = tmp_path / "pool.txt"
-        pool_path.write_text(
-            "\n".join(" ".join(str(c) for c in p) for p in shipped.points[:2]) + "\n")
+        _write_pool(pool_path, shipped.points[:2])
         cert_path = tmp_path / "two.cert"
         code, out, _ = run(capsys, "augment", "--pool-file", str(pool_path),
                            "-o", str(cert_path))
@@ -281,14 +309,27 @@ class TestAugmentAndVerify:
         assert [line.split()[1] for line in runs[0]] != [
             "point=" + ",".join(map(str, x)) for x in lex_first]
 
+    def test_augment_random_order_shuffles_a_pool_file(self, capsys, tmp_path):
+        points = list(ud.shipped_certificate().points[:4])
+        pool_path = tmp_path / "pool.txt"
+        _write_pool(pool_path, points)
+        expect = list(points)
+        random.Random(5).shuffle(expect)
+        assert expect != points
+        code, out, _ = run(capsys, "augment", "--pool-file", str(pool_path), "--order",
+                           "random", "--seed", "5", "-o", str(tmp_path / "r.cert"))
+        assert code == EXIT_OK
+        assert [line.split()[1] for line in out.splitlines()
+                if line.startswith("candidate ")] == [
+            "point=" + ",".join(map(str, x)) for x in expect]
+
     def test_augment_prints_each_line_once_under_split(self, tmp_path):
         # Standard output to a pipe is block-buffered, so lines printed before
         # a fork sit in the buffer each worker inherits; a worker that flushed
         # it on exit would print them twice. Every search that can is split.
         shipped = ud.shipped_certificate()
         pool_path = tmp_path / "pool.txt"
-        pool_path.write_text(
-            "\n".join(" ".join(str(c) for c in p) for p in shipped.points[:2]) + "\n")
+        _write_pool(pool_path, shipped.points[:2])
         script = ("import sys; from unitdist import cli, solve; solve._SPLIT_NODES = 0; "
                   "solve._usable_cpus = lambda: 2; sys.exit(cli.main(sys.argv[1:]))")
         src = str(Path(ud.__file__).resolve().parents[1])
