@@ -12,6 +12,7 @@ alone turns that into one `error` line on standard error.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import time
@@ -46,6 +47,17 @@ def _solve_options(args: argparse.Namespace) -> SolveOptions:
         node_budget=args.budget_nodes if args.budget_nodes else None,
         time_budget=args.budget_seconds if args.budget_seconds else None,
     )
+
+
+def _check_output(path: str) -> None:
+    """Raise OSError unless the directory that path names a file in exists
+    and is writable, so that a command refuses an output path it cannot
+    write before its work, not after it."""
+    directory = Path(path).parent
+    if not directory.is_dir():
+        raise OSError(f"output directory {directory} of {path} does not exist")
+    if not os.access(directory, os.W_OK):
+        raise OSError(f"output directory {directory} of {path} is not writable")
 
 
 def _add_threads_flag(p: argparse.ArgumentParser) -> None:
@@ -98,6 +110,8 @@ def cmd_alpha(args) -> int:
             raise ValueError(f"{coords_path} has {len(cloud)} points "
                              f"for {graph.n} vertices")
         automorphisms = cloud_automorphisms(cloud)
+    witness_path = args.witness or f"{args.graph}.alpha.witness"
+    _check_output(witness_path)
     res = max_independent_set(graph, opts, automorphisms)
     if isinstance(res, MisIncomplete):
         print(f"incomplete alpha_lower={res.lower_bound} alpha_upper={res.upper_bound} "
@@ -106,7 +120,6 @@ def cmd_alpha(args) -> int:
     bound = ratio_lower_bound(graph.n, res.alpha) if graph.n else 0
     print(f"result alpha={res.alpha} ratio_bound={bound} n={graph.n} "
           f"nodes={res.nodes_explored} seconds={res.wall_time:.2f}")
-    witness_path = args.witness or f"{args.graph}.alpha.witness"
     formats.write_independent_set_witness(witness_path, args.graph, res.witness)
     print(f"wrote witness={witness_path}")
     return EXIT_OK
@@ -115,6 +128,8 @@ def cmd_alpha(args) -> int:
 def cmd_chi(args) -> int:
     graph = formats.read_graph(args.graph)
     opts = _solve_options(args)
+    witness_path = args.witness or f"{args.graph}.coloring.witness"
+    _check_output(witness_path)
     t0 = time.perf_counter()
     res = chromatic_number(graph, opts)
     elapsed = time.perf_counter() - t0
@@ -124,7 +139,6 @@ def cmd_chi(args) -> int:
         return EXIT_BUDGET
     print(f"result chi={res.chi} n={graph.n} nodes={res.nodes_explored} "
           f"seconds={elapsed:.2f}")
-    witness_path = args.witness or f"{args.graph}.coloring.witness"
     formats.write_coloring_witness(witness_path, args.graph, res.coloring)
     print(f"wrote witness={witness_path}")
     return EXIT_OK
@@ -165,6 +179,7 @@ def _load_pool(args) -> e8.CandidatePool:
 
 
 def cmd_augment(args) -> int:
+    _check_output(args.out)
     if args.budget_seconds < 0:
         raise ValueError("negative time budget")
     for flag, value in (("candidates", args.budget_candidates),

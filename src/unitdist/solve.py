@@ -15,18 +15,25 @@ and indexes tables by. The clique search, like the k-colorability search,
 keeps an explicit stack, so neither is bounded by the interpreter's
 recursion limit and neither changes it.
 
-The clique search takes its root's branches one at a time. Once a call has
-spent _SPLIT_NODES nodes with at least two branches left, it forks one
-worker per further usable CPU (module split: os.fork, a pipe and marshal,
-loaded only by a search that splits) and shares the branches left among
-the workers and itself, each branch searched from the incumbent of that
-moment, so no incumbent is shared while they run. The results are merged
-in branch order, and a branch whose result the sequential search would
-not have produced is searched again in the calling process: the returned
-value, witness, node count and status are the sequential search's, unless
-a deadline stops it. Nothing is forked on one CPU, or while a second
-thread runs. (McCreesh and Prosser, Algorithms 2013, split at the root the
-same way, with a shared incumbent that makes node counts depend on timing.)
+The clique search takes its root's branches one at a time. Once a call
+without a node limit has spent _SPLIT_NODES nodes with at least two
+branches left, it forks one worker per further usable CPU (module split:
+os.fork, a shared queue, a pipe and marshal, loaded only by a search that
+splits). The branches left wait in the queue in branch order, and every
+process, the caller included, takes the next one whenever it has finished
+one, each searched from the incumbent of the split, so no incumbent is
+shared while they run, and each worker runs on a CPU other than its
+caller's. The results are merged in branch order, and a
+branch whose result the sequential search would not have produced is
+searched again in the calling process: the returned value, witness, node
+count and status are the sequential search's, unless a deadline stops it.
+A search under a node limit never splits: every process would run on to
+the limit, and the caller would then search again the branch in which the
+sequential search stops, so a split would take longer than one process.
+Nothing is forked on one CPU, or while a second thread runs. (McCreesh and
+Prosser, Algorithms 2013, also split at the root and hand out work as it
+is asked for, with a shared incumbent that makes node counts depend on
+timing.)
 
 Chromatic numbers are bracketed between max(clique bound, ceil(n/alpha))
 and a DSATUR coloring, then closed with a complete k-colorability search
@@ -192,9 +199,13 @@ def check_coloring(g: Graph, coloring: tuple[int, ...], k: int | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-# A clique search splits its root branches across processes only after this
-# many nodes: below it, forking costs more than the split can save.
-_SPLIT_NODES = 1 << 14
+# A clique search without a node limit splits its root branches across
+# processes once it has spent this many nodes. Forking a worker and reaping
+# it took 1.3-2.7 ms at 17-54 MB resident (2-vCPU VM, Python 3.11), the time
+# of about 250-550 nodes, so a search this far in has work enough left to
+# repay it; the certificate pipeline's decisions, 8,000-12,000 nodes each,
+# then split too.
+_SPLIT_NODES = 1 << 10
 
 
 class _Budget:
@@ -325,16 +336,17 @@ def _max_clique_masks(adj, pool: int, *, initial_best: int = 0, stop_at: int | N
     every child, as best may have grown) is reached.
 
     The root's branches are searched one at a time by _search_branch, which
-    carries the call's running node count from one to the next. Once the
-    call has spent _SPLIT_NODES nodes, at a root branch with at least one
-    more to search after it and at least two usable CPUs, the branches left
-    are split across forked processes (split.split_branches), each searched
-    from the incumbent of that moment. They are then merged in branch order:
-    a split result is taken only while the incumbent is still the one it was
-    searched from and, under a node limit, when no budget check inside it
-    could have stopped the search; any other branch is searched here again.
-    So the result, node count included, is the one the sequential search
-    gives, unless a deadline stops the search.
+    carries the call's running node count from one to the next. Once a call
+    without a node limit has spent _SPLIT_NODES nodes, at a root branch with
+    at least one more to search after it and at least two usable CPUs, the
+    branches left are searched across forked processes
+    (split.split_branches), each process taking the next branch from a
+    shared queue and searching it from the incumbent of that moment. They
+    are then merged in branch order: a split result is taken only while the
+    incumbent is still the one it was searched from and no deadline stopped
+    it; any other branch is searched here again. So the result, node count
+    included, is the one the sequential search gives, unless a deadline
+    stops the search.
     """
     if not pool:
         return (0, 0, 0, "complete", 0)
@@ -365,7 +377,7 @@ def _max_clique_masks(adj, pool: int, *, initial_best: int = 0, stop_at: int | N
     for j, (low, color, child) in enumerate(branches):
         if color <= best:
             break
-        if shared is None and nodes >= _SPLIT_NODES:
+        if shared is None and budget.node_limit is None and nodes >= _SPLIT_NODES:
             todo = [i for i in range(j, len(branches)) if branches[i][1] > best]
             workers = min(_usable_cpus(), len(todo))
             shared, shared_best = {}, best
@@ -373,7 +385,7 @@ def _max_clique_masks(adj, pool: int, *, initial_best: int = 0, stop_at: int | N
                 from . import split  # loaded only by a search that splits
                 shared = split.split_branches(search, branches, todo, best, nodes, workers)
         got = shared.pop(j, None) if shared else None
-        if got is not None and best == shared_best and _fits_budget(budget, nodes, got):
+        if got is not None and best == shared_best and got[4] != "budget":
             _, value, mask, count, status = got
             nodes += count
             if value > best:
@@ -471,26 +483,14 @@ def _search_branch(search, low: int, pool: int, best: int, best_mask: int,
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on, or 1 where it cannot fork safely:
-    on a platform without fork and CPU affinity, or while a second thread
-    runs (a forked child would inherit the other threads' locks held)."""
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+    """The CPUs this process may run on, or 1 where it cannot split safely:
+    on a platform without fork, CPU affinity and memfd_create (for split's
+    queue), or while a second thread runs (a forked child would inherit the
+    other threads' locks held)."""
+    if (not hasattr(os, "sched_getaffinity") or not hasattr(os, "memfd_create")
+            or threading.active_count() > 1):
         return 1
     return len(os.sched_getaffinity(0))
-
-
-def _fits_budget(budget: _Budget, nodes: int, result: tuple) -> bool:
-    """Whether a split result for the branch that starts at running count
-    nodes is the sequential one as far as the budget goes: it completed, or
-    reached the target, and under a node limit none of the budget checks
-    the sequential search makes inside the branch, at each multiple of 256,
-    could have stopped it (the last of them is the one that decides)."""
-    status, count = result[4], result[3]
-    if status == "budget":
-        return False
-    last = (nodes + count) & ~255
-    return (budget.node_limit is None or last <= nodes
-            or budget.spent + last <= budget.node_limit)
 
 
 def _is_clique(nbr: list[int], mask: int, size: int) -> bool:

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -249,15 +250,25 @@ def _write_pool(path, points):
 
 class TestErrorBoundary:
     @pytest.mark.parametrize("command", ["build", "alpha", "chi", "augment"])
-    def test_unwritable_output_exits_invalid(self, capsys, h52_file, tmp_path, command):
+    def test_unwritable_output_exits_invalid(self, capsys, monkeypatch, h52_file, tmp_path,
+                                             command):
+        # Refused before any solve: every solver the commands call fails.
+        def solver(*args, **kwargs):
+            raise AssertionError("solved before checking the output path")
+
+        for module, name in ((cli, "max_independent_set"), (cli, "chromatic_number"),
+                             (cli.e8, "initial_state"), (cli.e8, "augment_greedy")):
+            monkeypatch.setattr(module, name, solver)
         missing = tmp_path / "missing"
         argv = {
             "build": ["build", "cube", "-d", "3", "-u", "1", "-o", str(missing / "x")],
             "alpha": ["alpha", str(h52_file), "--witness", str(missing / "w")],
             "chi": ["chi", str(h52_file), "--witness", str(missing / "w")],
-            "augment": ["augment", "--budget-candidates", "0", "-o", str(missing / "x.cert")],
+            "augment": ["augment", "--budget-candidates", "300", "-o", str(missing / "x.cert")],
         }[command]
+        start = time.monotonic()
         code, _, err = run(capsys, *argv)
+        assert time.monotonic() - start < 0.5
         assert code == EXIT_INVALID
         assert err.startswith("error message=") and len(err.splitlines()) == 1
         assert "Traceback" not in err

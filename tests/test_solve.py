@@ -1,3 +1,5 @@
+import fcntl
+import marshal
 import os
 import random
 import signal
@@ -688,13 +690,31 @@ class TestCliqueKernelAgainstRecursiveReference:
                 assert status == ("complete" if node_budget is None else "budget")
 
 
+@pytest.fixture
+def nothing_left_behind():
+    """After the test, no child process is left, and this process may run on
+    the CPUs it could run on before."""
+    affinity = os.sched_getaffinity
+    allowed = affinity(0)
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert affinity(0) == allowed
+
+
+@pytest.mark.usefixtures("nothing_left_behind")
 class TestCliqueKernelSplitAcrossProcesses(TestCliqueKernelAgainstRecursiveReference):
     """The recursive-reference cases again, with the root branches split
     across two processes from the first branch on: every tuple, budget stops
-    included, must still be the sequential one."""
+    included, must still be the sequential one. A search under a node limit
+    never splits, so only the cases without one split: many of the random
+    graphs, one of the wide rows."""
+
+    MIN_SPLITS = {"test_identical_results_on_random_graphs": 5,
+                  "test_identical_results_on_wide_rows": 1}
 
     @pytest.fixture(autouse=True)
-    def force_split(self, monkeypatch):
+    def force_split(self, monkeypatch, request):
         monkeypatch.setattr(solve, "_SPLIT_NODES", 0)
         monkeypatch.setattr(solve, "_usable_cpus", lambda: 2)
         splits = []
@@ -706,7 +726,7 @@ class TestCliqueKernelSplitAcrossProcesses(TestCliqueKernelAgainstRecursiveRefer
 
         monkeypatch.setattr(split, "split_branches", counted)
         yield
-        assert len(splits) >= 5
+        assert len(splits) >= self.MIN_SPLITS[request.function.__name__]
 
 
 def split_cases():
@@ -734,6 +754,7 @@ def run_cases(cases):
             for adj, pool, kw in cases]
 
 
+@pytest.mark.usefixtures("nothing_left_behind")
 class TestSplitRobustness:
     """Whatever goes wrong with a forked worker, the kernel returns the
     sequential tuples; a failure of the caller leaves no process behind."""
@@ -776,14 +797,54 @@ class TestSplitRobustness:
         monkeypatch.setattr(split, "_search_share", share)
         assert run_cases(cases) == expected
 
+    @pytest.mark.parametrize("hold_lock", [False, True])
+    def test_worker_killed_after_taking_a_branch(self, cases, monkeypatch, hold_lock):
+        # Each worker takes one branch, or only the queue's lock, and dies.
+        cases, expected = cases
+        caller = os.getpid()
+        real = split._Queue.take
+
+        def take(queue):
+            if os.getpid() != caller:
+                if hold_lock:
+                    fcntl.lockf(queue.fd, fcntl.LOCK_EX)
+                else:
+                    real(queue)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(queue)
+
+        def hangs(*_):
+            raise TimeoutError("the caller waits on a dead worker's lock")
+
+        monkeypatch.setattr(split._Queue, "take", take)
+        previous = signal.signal(signal.SIGALRM, hangs)
+        signal.alarm(60)
+        try:
+            assert run_cases(cases) == expected
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_node_limit_never_forks(self, cases, monkeypatch):
+        cases, expected = cases
+        limited = [i for i, (_, _, kw) in enumerate(cases) if kw["budget"].node_budget is not None]
+
+        def fork():
+            raise AssertionError("forked under a node limit")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert limited
+        assert run_cases([cases[i] for i in limited]) == [expected[i] for i in limited]
+
     def test_worker_clique_is_rechecked(self, cases, monkeypatch):
         cases, _ = cases
         real = split._search_share
 
-        def share(search, branches, todo, best, nodes):
+        def share(search, branches, todo, queue, best, nodes):
             # Report every improvement with one vertex too few.
             return [(j, value, mask & (mask - 1) if value > best else mask, count, status)
-                    for j, value, mask, count, status in real(search, branches, todo, best, nodes)]
+                    for j, value, mask, count, status
+                    in real(search, branches, todo, queue, best, nodes)]
 
         monkeypatch.setattr(split, "_search_share", share)
         adj, pool, _ = cases[-1]
@@ -830,6 +891,49 @@ class TestSplitRobustness:
             stop.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
+
+
+@pytest.mark.usefixtures("nothing_left_behind")
+class TestQueue:
+    def test_each_position_taken_once_and_in_order(self):
+        # More positions than a pipe holds as 4-byte records, taken by more
+        # processes than there are CPUs, each as fast as it can.
+        size = 20_000
+        procs = []
+        with split._Queue(size) as queue:
+            for _ in range(3):
+                read_end, write_end = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        os.close(read_end)
+                        taken = list(iter(queue.take, None))
+                        with open(write_end, "wb") as pipe:
+                            pipe.write(marshal.dumps(taken))
+                        code = 0
+                    finally:
+                        os._exit(code)
+                os.close(write_end)
+                procs.append((pid, read_end))
+            shares = [list(iter(queue.take, None))]
+            for pid, read_end in procs:
+                with open(read_end, "rb") as pipe:
+                    shares.append(marshal.loads(pipe.read()))
+                assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        assert all(share == sorted(share) for share in shares)
+        assert sorted(i for share in shares for i in share) == list(range(size))
+
+    def test_clear_leaves_nothing_to_take(self):
+        with split._Queue(3) as queue:
+            assert queue.take() == 0
+            queue.clear()
+            assert queue.take() is None
+            assert queue.take() is None
+
+
+def test_current_cpu_is_one_this_process_may_run_on():
+    assert split._current_cpu() in os.sched_getaffinity(0)
 
 
 class TestRootColouring:
