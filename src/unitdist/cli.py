@@ -62,7 +62,7 @@ def _check_output(path: str) -> None:
 
 def _add_threads_flag(p: argparse.ArgumentParser) -> None:
     # Kept so existing command lines keep working; it sets nothing. The clique
-    # search splits its root branches across the usable CPUs by itself.
+    # search splits its work across the usable CPUs by itself.
     p.add_argument("--threads", type=int, choices=[1], default=1,
                    help="accepted for compatibility; only 1 is valid")
 

@@ -15,25 +15,30 @@ and indexes tables by. The clique search, like the k-colorability search,
 keeps an explicit stack, so neither is bounded by the interpreter's
 recursion limit and neither changes it.
 
-The clique search takes its root's branches one at a time. Once a call
-without a node limit has spent _SPLIT_NODES nodes with at least two
-branches left, it forks one worker per further usable CPU (module split:
+Once a clique search has spent _SPLIT_NODES nodes, wherever its depth-first
+search stands, it forks one worker per further usable CPU (module split:
 os.fork, a shared queue, a pipe and marshal, loaded only by a search that
-splits). The branches left wait in the queue in branch order, and every
-process, the caller included, takes the next one whenever it has finished
-one, each searched from the incumbent of the split, so no incumbent is
-shared while they run, and each worker runs on a CPU other than its
-caller's. The results are merged in branch order, and a
-branch whose result the sequential search would not have produced is
-searched again in the calling process: the returned value, witness, node
-count and status are the sequential search's, unless a deadline stops it.
-A search under a node limit never splits: every process would run on to
-the limit, and the caller would then search again the branch in which the
-sequential search stops, so a split would take longer than one process.
-Nothing is forked on one CPU, or while a second thread runs. (McCreesh and
-Prosser, Algorithms 2013, also split at the root and hand out work as it
-is asked for, with a shared incumbent that makes node counts depend on
-timing.)
+splits). The work the search still has to do becomes a list of items: the
+current node's children not yet searched, then each parent's, deepest
+first, down to the root's, in the order the one-CPU search would take them.
+The items wait in the queue in that order, and every process, the caller
+included, takes the next one whenever it has finished one, each searched
+from the incumbent of the split, so no incumbent is shared while they run,
+and each worker runs on a CPU other than its caller's. The results are
+merged in item order, and an item whose result the one-CPU search would not
+have produced is searched again in the calling process: the returned value,
+witness, node count and status are the one-CPU search's, unless a deadline
+stops it. Under a node limit the queue also sums the nodes of the items
+finished, so that each process starts an item's count at or below the
+one-CPU search's count there, stops no earlier than it inside the item,
+and takes no item once the items finished reach the stop; the merge then
+knows each item's true start and takes the one-CPU stop from the item in
+which it falls. A search
+splits under a limit only while at least _SPLIT_NODES nodes are left before
+it stops. Nothing is forked on one CPU, or while a second thread runs.
+(McCreesh and Prosser, Algorithms 2013, also split below the root and hand
+out work as it is asked for, with a shared incumbent that makes node counts
+depend on timing.)
 
 Chromatic numbers are bracketed between max(clique bound, ceil(n/alpha))
 and a DSATUR coloring, then closed with a complete k-colorability search
@@ -60,10 +65,11 @@ Symmetry is used only once it is proven. max_independent_set takes vertex
 permutations as automorphisms, checks each against the adjacency rows
 (adj[p[v]] must be the image of adj[v]; ValueError otherwise), and when the
 orbit of vertex 0 under them is the whole graph, the graph is
-vertex-transitive and vertex 0 is put into the independent set up front:
-only its non-neighbours are searched. core.cloud_automorphisms derives
-such permutations from a point cloud, which the command line reads from
-the .coords sidecar that `build` writes.
+vertex-transitive, and so is each of its components: the first vertex of
+each component is put into the independent set up front, and only the
+vertices adjacent to none of them are searched. core.cloud_automorphisms
+derives such permutations from a point cloud, which the command line reads
+from the .coords sidecar that `build` writes.
 
 The public entry points split a disconnected graph, or the pool mask they
 search, into its connected components and solve each distinct component
@@ -79,6 +85,7 @@ bit-reproducible.
 """
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -199,12 +206,13 @@ def check_coloring(g: Graph, coloring: tuple[int, ...], k: int | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-# A clique search without a node limit splits its root branches across
-# processes once it has spent this many nodes. Forking a worker and reaping
-# it took 1.3-2.7 ms at 17-54 MB resident (2-vCPU VM, Python 3.11), the time
-# of about 250-550 nodes, so a search this far in has work enough left to
-# repay it; the certificate pipeline's decisions, 8,000-12,000 nodes each,
-# then split too.
+# A clique search splits the work it still has to do across processes once
+# it has spent this many nodes, and, under a node limit, only while at least
+# this many are left before it stops. Forking a worker and reaping it took
+# 1.3-2.7 ms at 17-54 MB resident (2-vCPU VM, Python 3.11), the time of about
+# 250-550 nodes, so a search this far in has work enough left to repay it;
+# the certificate pipeline's decisions, 8,000-12,000 nodes each, then split
+# too.
 _SPLIT_NODES = 1 << 10
 
 
@@ -233,6 +241,14 @@ class _Budget:
         has passed."""
         return ((self.node_limit is not None and self.spent + nodes > self.node_limit)
                 or (self.deadline is not None and time.monotonic() > self.deadline))
+
+    def stop_count(self) -> int | None:
+        """The count at which a search checking exceeded(count) every 256
+        nodes stops for the node limit: the least multiple of 256 with spent
+        plus it past the limit. None without a node limit."""
+        if self.node_limit is None:
+            return None
+        return max(256, ((self.node_limit - self.spent) // 256 + 1) * 256)
 
 
 def _degeneracy_order(adj: list[int] | tuple[int, ...], pool: int) -> list[int]:
@@ -335,18 +351,12 @@ def _max_clique_masks(adj, pool: int, *, initial_best: int = 0, stop_at: int | N
     first, lowest bit first within a class, until the cut (re-read after
     every child, as best may have grown) is reached.
 
-    The root's branches are searched one at a time by _search_branch, which
-    carries the call's running node count from one to the next. Once a call
-    without a node limit has spent _SPLIT_NODES nodes, at a root branch with
-    at least one more to search after it and at least two usable CPUs, the
-    branches left are searched across forked processes
-    (split.split_branches), each process taking the next branch from a
-    shared queue and searching it from the incumbent of that moment. They
-    are then merged in branch order: a split result is taken only while the
-    incumbent is still the one it was searched from and no deadline stopped
-    it; any other branch is searched here again. So the result, node count
-    included, is the one the sequential search gives, unless a deadline
-    stops the search.
+    The root is colored here and the rest is one depth-first search,
+    _search. Once the call has spent _SPLIT_NODES nodes, at one of the
+    search's checks every 256 nodes, with at least two usable CPUs and, under
+    a node limit, at least _SPLIT_NODES nodes left before the count at which
+    the search stops, the work the search still has to do is split across
+    forked processes (_split).
     """
     if not pool:
         return (0, 0, 0, "complete", 0)
@@ -359,45 +369,13 @@ def _max_clique_masks(adj, pool: int, *, initial_best: int = 0, stop_at: int | N
     anti = [0] + [full ^ nbr[v] ^ bit[v + 1] for v in range(n)]
     search = (nbr, bit, anti, stop_at, budget)
     classes, upper = _colour_classes(full, initial_best, bit, anti)
-    # The root's branches in the order they are taken: (vertex bit, its color,
-    # its neighbours among the vertices not yet branched on).
-    branches = []
-    rest, color = full, upper
-    for cls in reversed(classes):
-        while cls:
-            low = cls & -cls
-            cls ^= low
-            branches.append((low, color, rest & nbr[low.bit_length() - 1]))
-            rest ^= low
-        color -= 1
-
-    best, best_mask = initial_best, 0
-    nodes = 1  # the root
-    shared, shared_best = None, None  # results of the split, and the incumbent they used
-    for j, (low, color, child) in enumerate(branches):
-        if color <= best:
-            break
-        if shared is None and budget.node_limit is None and nodes >= _SPLIT_NODES:
-            todo = [i for i in range(j, len(branches)) if branches[i][1] > best]
-            workers = min(_usable_cpus(), len(todo))
-            shared, shared_best = {}, best
-            if workers >= 2:
-                from . import split  # loaded only by a search that splits
-                shared = split.split_branches(search, branches, todo, best, nodes, workers)
-        got = shared.pop(j, None) if shared else None
-        if got is not None and best == shared_best and got[4] != "budget":
-            _, value, mask, count, status = got
-            nodes += count
-            if value > best:
-                if not _is_clique(nbr, mask, value):
-                    raise RuntimeError("a clique from a split search failed its re-check")
-                best, best_mask = value, mask
-        else:
-            best, best_mask, nodes, status = _search_branch(search, low, child, best, best_mask,
-                                                            nodes)
-        if status != "complete":
-            return (best, _unrelabel(best_mask, order), nodes, status, upper)
-    return (best, _unrelabel(best_mask, order), nodes, "complete", upper)
+    root = (0, 0, full, classes, classes.pop() if classes else 0, upper)
+    split_by = 0  # the last count at which the search may split
+    if _usable_cpus() >= 2:
+        stop = budget.stop_count()
+        split_by = math.inf if stop is None else stop - _SPLIT_NODES
+    best, best_mask, nodes, status = _search(search, root, initial_best, 0, 1, split_by=split_by)
+    return (best, _unrelabel(best_mask, order), nodes, status, upper)
 
 
 def _colour_classes(pool: int, cut: int, bit: list[int], anti: list[int]) -> tuple[list[int], int]:
@@ -426,60 +404,132 @@ def _colour_classes(pool: int, cut: int, bit: list[int], anti: list[int]) -> tup
     return classes, color
 
 
-def _search_branch(search, low: int, pool: int, best: int, best_mask: int,
-                   nodes: int) -> tuple[int, int, int, str]:
-    """One root branch of the clique search: the cliques of vertex `low` (a
-    bit) and of vertices of `pool`, its neighbours not yet branched on.
+def _search(search, frame: tuple, best: int, best_mask: int, nodes: int,
+            trail: list | None = None, split_by: float = 0) -> tuple[int, int, int, str]:
+    """The clique search below one colored node: its children not yet
+    searched, and their subtrees.
 
-    search is (nbr, bit, anti, stop_at, budget) of the call. nodes is the
-    call's running node count, which the budget is checked against every 256
-    nodes. Returns (best, best_mask, nodes, status) with the same statuses as
-    _max_clique_masks. The search keeps an explicit stack of parent frames, so
-    its depth is not bounded by the interpreter's recursion limit.
+    search is (nbr, bit, anti, stop_at, budget) of the call. frame is the
+    node's (clique size, clique mask, pool, classes not yet branched on,
+    current class, its color); the pool holds the candidates not yet
+    branched on. nodes is the call's running node count, which the budget is
+    checked against every 256 nodes. Each improvement of best is appended to
+    trail, if given, as (nodes, best, best_mask). At a check with
+    _SPLIT_NODES <= nodes <= split_by, the work left is split (_split), and
+    its result is returned. Returns (best, best_mask, nodes, status) with the
+    same statuses as _max_clique_masks. The search keeps an explicit stack
+    of parent frames, so its depth is not bounded by the interpreter's
+    recursion limit.
     """
     nbr, bit, anti, stop_at, budget = search
-    if not pool:
-        if best < 1:
-            best, best_mask = 1, low
-            if stop_at is not None and best >= stop_at:
-                return (best, best_mask, nodes, "target")
-        return (best, best_mask, nodes, "complete")
-    # One frame per clique vertex above the current node: the parent's
-    # (clique size, clique mask, pool, unbranched classes, current class, its color).
+    r_size, r_mask, pool, classes, cls, color = frame
     stack: list[tuple] = []
-    r_size, r_mask = 1, low
-
     while True:
+        # Take the next branch, backing up through finished frames.
+        if not cls or r_size + color <= best:
+            if not stack:
+                return (best, best_mask, nodes, "complete")
+            r_size, r_mask, pool, classes, cls, color = stack.pop()
+            continue
+        low = cls & -cls
+        cls ^= low
+        if not cls and classes:
+            cls = classes.pop()
+            color -= 1
+        new_pool = pool & nbr[low.bit_length() - 1]
+        pool ^= low
+        if not new_pool:
+            if r_size >= best:
+                best, best_mask = r_size + 1, r_mask | low
+                if trail is not None:
+                    trail.append((nodes, best, best_mask))
+                if stop_at is not None and best >= stop_at:
+                    return (best, best_mask, nodes, "target")
+            continue
+        stack.append((r_size, r_mask, pool, classes, cls, color))
+        r_size += 1
+        r_mask |= low
+        pool = new_pool
         nodes += 1
-        if nodes & 255 == 0 and budget.exceeded(nodes):
-            return (best, best_mask, nodes, "budget")
         classes, color = _colour_classes(pool, best - r_size, bit, anti)
         cls = classes.pop() if classes else 0
+        if nodes & 255 == 0:
+            if budget.exceeded(nodes):
+                return (best, best_mask, nodes, "budget")
+            if _SPLIT_NODES <= nodes <= split_by:
+                frames = [(r_size, r_mask, pool, classes, cls, color), *reversed(stack)]
+                items = _pending(nbr, frames, best)
+                if len(items) >= 2:
+                    return _split(search, items, best, best_mask, nodes)
 
-        # Take the next branch, backing up through finished frames.
-        while True:
-            if not cls or r_size + color <= best:
-                if not stack:
-                    return (best, best_mask, nodes, "complete")
-                r_size, r_mask, pool, classes, cls, color = stack.pop()
-                continue
+
+def _pending(nbr: list[int], frames: list[tuple], best: int) -> list[tuple]:
+    """The children not yet searched of each frame, in frames' order, each in
+    the order the search takes them, up to the first that best cuts.
+
+    Each child is an item: a frame with that one child left, (clique size,
+    clique mask, child pool, (), vertex bit, its color). The child pool is
+    the frame's pool, without the siblings taken before it, restricted to
+    the vertex's neighbours; it also stands as the item's pool, since the
+    child that _search takes from it gets the pool & nbr[vertex] it already
+    is.
+    """
+    items = []
+    for r_size, r_mask, pool, classes, cls, color in frames:
+        classes = classes[:]
+        while cls and r_size + color > best:
             low = cls & -cls
             cls ^= low
+            items.append((r_size, r_mask, pool & nbr[low.bit_length() - 1], (), low, color))
+            pool ^= low
             if not cls and classes:
                 cls = classes.pop()
                 color -= 1
-            new_pool = pool & nbr[low.bit_length() - 1]
-            pool ^= low
-            if new_pool:
-                stack.append((r_size, r_mask, pool, classes, cls, color))
-                r_size += 1
-                r_mask |= low
-                pool = new_pool
-                break
-            if r_size >= best:
-                best, best_mask = r_size + 1, r_mask | low
-                if stop_at is not None and best >= stop_at:
-                    return (best, best_mask, nodes, "target")
+    return items
+
+
+def _split(search, items: list[tuple], best: int, best_mask: int,
+           nodes: int) -> tuple[int, int, int, str]:
+    """The items, the work left at count nodes, searched across forked
+    processes (split.split_items) from incumbent best, then merged in order
+    into the result _search would return.
+
+    Let S be the count at which the one-CPU search stops under the node
+    limit (_Budget.stop_count), and n0 the count at which it would start an
+    item. A result from the split is taken only while best is still the
+    incumbent of the split and no deadline stopped it: if it ended with
+    n0 + its nodes < S, as it is; if it ran to S - n0 nodes or more, as the
+    one-CPU stop: status "budget", nodes S, and the last improvement below
+    S - n0 nodes into the item. Any other item is searched here; an item that
+    best cuts, or whose pool is empty, costs no node there. A worker's
+    cliques are re-checked before they are taken.
+    """
+    from . import split  # loaded only by a search that splits
+    nbr, budget = search[0], search[4]
+    stop = budget.stop_count()
+    shared = split.split_items(search, items, best, nodes, stop, min(_usable_cpus(), len(items)))
+    split_best = best
+    for i, item in enumerate(items):
+        got = shared.get(i) if best == split_best else None
+        if got is not None:
+            count, status, trail = got
+            if status != "budget" and (stop is None or nodes + count < stop):
+                nodes += count
+            elif stop is not None and nodes + count >= stop:
+                trail = [t for t in trail if nodes + t[0] < stop]
+                nodes, status = stop, "budget"
+            else:
+                got = None
+        if got is None:
+            best, best_mask, nodes, status = _search(search, item, best, best_mask, nodes)
+        elif trail:
+            _, value, mask = trail[-1]
+            if not _is_clique(nbr, mask, value):
+                raise RuntimeError("a clique from a split search failed its re-check")
+            best, best_mask = value, mask
+        if status != "complete":
+            return (best, best_mask, nodes, status)
+    return (best, best_mask, nodes, "complete")
 
 
 def _usable_cpus() -> int:
@@ -627,17 +677,26 @@ def max_independent_set(g: Graph, options: SolveOptions | None = None, automorph
     image of v, as from core.cloud_automorphisms; each is checked against
     the adjacency rows first, and one that is not an automorphism raises
     ValueError. When the orbit of vertex 0 under them is all of g, g is
-    vertex-transitive, so some maximum independent set contains vertex 0,
-    and only its non-neighbours are searched. Otherwise the whole graph is
-    searched. A caller that spends one budget over several searches passes
-    it as `budget` instead of options. wall_time covers the whole call.
+    vertex-transitive, and so is each of its components, as an automorphism
+    that maps u to v maps u's component onto v's. So some maximum
+    independent set contains the first vertex of every component, and only
+    the vertices adjacent to none of those pivots are searched; as the
+    pivots sit at the same place in every copy of a component, so do the
+    components of what is left, and one search serves every copy. Otherwise
+    the whole graph is searched. A caller that spends one budget over
+    several searches passes it as `budget` instead of options. wall_time
+    covers the whole call.
     """
     t0 = time.perf_counter()
     transitive = _transitive_under(g, automorphisms)
     if budget is None:
         budget = _Budget(options or SolveOptions())
     if transitive:
-        return _mis(g, g.full_mask ^ g.adj[0] ^ 1, 1, budget, t0)
+        pivots = [comp.bits & -comp.bits for comp in connected_components(g)]
+        taken = 0  # the pivots and their neighbours
+        for low in pivots:
+            taken |= low | g.adj[low.bit_length() - 1]
+        return _mis(g, g.full_mask ^ taken, sum(pivots), budget, t0)
     return _mis(g, g.full_mask, 0, budget, t0)
 
 

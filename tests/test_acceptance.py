@@ -124,6 +124,7 @@ def test_criterion_5_half_cube_11_4_budgeted():
         lower, upper = res.lower_bound, res.upper_bound
     bound = ud.ratio_lower_bound(g.n, 32)
     ok = (lower == 32 and lower <= 32 <= upper
+          and upper == 115 and res.nodes_explored == 150_016
           and len(res.witness) == 32
           and ud.check_independent_set(g, res.witness)
           and bound == 32)

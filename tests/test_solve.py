@@ -293,6 +293,44 @@ class TestAutomorphisms:
             assert (got.alpha, got.witness, got.nodes_explored) == (
                 direct.alpha, direct.witness, direct.nodes_explored)
 
+    def test_copies_of_a_transitive_component_pivot_each(self):
+        # Interleaved copies of one circulant: the rotation of every copy at
+        # once and a shift of each copy onto the next move vertex 0 onto
+        # every vertex. The first vertex of each copy is taken; when the
+        # copies keep the circulant's vertex order, one pivot search serves
+        # them all, node for node.
+        rng = random.Random(8)
+        for keep_order in (True, False):
+            for _ in range(10):
+                n, copies = rng.randrange(6, 14), rng.randrange(2, 5)
+                offsets = rng.sample(range(1, n // 2 + 1), rng.randrange(1, n // 2))
+                c = ud.Graph.from_edges(n, sorted({tuple(sorted((v, (v + off) % n)))
+                                                   for v in range(n) for off in offsets}))
+                labels = interleaved_labels(rng, [n] * copies, keep_order)
+                g = disjoint_union([c] * copies, labels)
+                turn, shift = [0] * g.n, [0] * g.n
+                for k, lab in enumerate(labels):
+                    for v in range(n):
+                        turn[lab[v]] = lab[(v + 1) % n]
+                        shift[lab[v]] = labels[(k + 1) % copies][v]
+                got = ud.max_independent_set(g, automorphisms=[tuple(turn), tuple(shift)])
+                one = solve.alpha_vertex_transitive(c, 0)
+                assert got.alpha == copies * one.alpha == copies * brute_alpha(c)
+                assert ud.check_independent_set(g, got.witness)
+                assert all(min(lab) in got.witness for lab in labels)
+                if keep_order:
+                    assert got.nodes_explored == one.nodes_explored
+
+    def test_c86_pivots_each_half_and_searches_one(self):
+        g, cloud = ud.hamming_graph(8, 6)
+        got = ud.max_independent_set(g, ud.SolveOptions(node_budget=50_000),
+                                     ud.cloud_automorphisms(cloud))
+        plain = ud.max_independent_set(g, ud.SolveOptions(node_budget=50_000))
+        assert isinstance(got, ud.MisResult)
+        assert got.alpha == plain.alpha == 58 and got.nodes_explored == 1047
+        assert ud.check_independent_set(g, got.witness)
+        assert all(comp.indices()[0] in got.witness for comp in ud.connected_components(g))
+
     def test_wall_time_covers_the_automorphism_check(self, monkeypatch):
         # The check runs before any search; both result types time the
         # whole call, the check included.
@@ -704,45 +742,52 @@ def nothing_left_behind():
 
 @pytest.mark.usefixtures("nothing_left_behind")
 class TestCliqueKernelSplitAcrossProcesses(TestCliqueKernelAgainstRecursiveReference):
-    """The recursive-reference cases again, with the root branches split
-    across two processes from the first branch on: every tuple, budget stops
-    included, must still be the sequential one. A search under a node limit
-    never splits, so only the cases without one split: many of the random
-    graphs, one of the wide rows."""
+    """The recursive-reference cases again, with the work left split across
+    two processes at the search's first check, at 256 nodes: every tuple,
+    budget stops included, must still be the sequential one. Every search
+    that passes that check splits, under a node limit too, unless the limit
+    stops it there."""
 
-    MIN_SPLITS = {"test_identical_results_on_random_graphs": 5,
-                  "test_identical_results_on_wide_rows": 1}
+    # (splits, splits under a node limit)
+    MIN_SPLITS = {"test_identical_results_on_random_graphs": (80, 40),
+                  "test_identical_results_on_wide_rows": (10, 9)}
 
     @pytest.fixture(autouse=True)
     def force_split(self, monkeypatch, request):
         monkeypatch.setattr(solve, "_SPLIT_NODES", 0)
         monkeypatch.setattr(solve, "_usable_cpus", lambda: 2)
         splits = []
-        real = split.split_branches
+        real = split.split_items
 
         def counted(*args):
-            splits.append(args[2])
+            splits.append(args[4])
             return real(*args)
 
-        monkeypatch.setattr(split, "split_branches", counted)
+        monkeypatch.setattr(split, "split_items", counted)
         yield
-        assert len(splits) >= self.MIN_SPLITS[request.function.__name__]
+        least, least_limited = self.MIN_SPLITS[request.function.__name__]
+        assert len(splits) >= least
+        assert sum(stop is not None for stop in splits) >= least_limited
 
 
 def split_cases():
     """Clique searches whose root has many branches, with and without an
-    incumbent and a target, each also under a node limit that stops it
-    halfway: (adj, pool, keywords)."""
+    incumbent and a target, each also under node limits that stop it a
+    quarter, half and three quarters of the way, and one node either side
+    of the last multiple of 256 it reaches, so that the stop falls before,
+    inside and at the end of the split's items: (adj, pool, keywords)."""
     rng = random.Random(1313)
     cases = []
-    for n, p in ((40, 0.5), (99, 0.6), (120, 0.7)):
+    for n, p in ((150, 0.5), (99, 0.6), (120, 0.7)):
         g = random_graph(rng, n, p)
         adj = list(g.adj)
         omega = _max_clique_masks(adj, g.full_mask, budget=_Budget(SolveOptions()))[0]
         for initial_best, stop_at in ((0, None), (omega - 1, omega), (omega, None)):
             nodes = _max_clique_masks(adj, g.full_mask, initial_best=initial_best,
                                       stop_at=stop_at, budget=_Budget(SolveOptions()))[2]
-            for node_budget in (None, nodes // 2):
+            last = nodes // 256 * 256
+            for node_budget in (None, nodes // 4, nodes // 2, nodes * 3 // 4,
+                                max(last - 1, 0), last + 1):
                 cases.append((adj, g.full_mask,
                               dict(initial_best=initial_best, stop_at=stop_at,
                                    budget=SolveOptions(node_budget=node_budget))))
@@ -799,19 +844,19 @@ class TestSplitRobustness:
 
     @pytest.mark.parametrize("hold_lock", [False, True])
     def test_worker_killed_after_taking_a_branch(self, cases, monkeypatch, hold_lock):
-        # Each worker takes one branch, or only the queue's lock, and dies.
+        # Each worker takes one item, or only the queue's lock, and dies.
         cases, expected = cases
         caller = os.getpid()
         real = split._Queue.take
 
-        def take(queue):
+        def take(queue, done=0):
             if os.getpid() != caller:
                 if hold_lock:
                     fcntl.lockf(queue.fd, fcntl.LOCK_EX)
                 else:
-                    real(queue)
+                    real(queue, done)
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real(queue)
+            return real(queue, done)
 
         def hangs(*_):
             raise TimeoutError("the caller waits on a dead worker's lock")
@@ -825,26 +870,87 @@ class TestSplitRobustness:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
 
-    def test_node_limit_never_forks(self, cases, monkeypatch):
+    def test_node_limit_forks_and_returns_the_one_cpu_tuple(self, cases, monkeypatch):
         cases, expected = cases
         limited = [i for i, (_, _, kw) in enumerate(cases) if kw["budget"].node_budget is not None]
+        forks = []
+        real = os.fork
 
         def fork():
-            raise AssertionError("forked under a node limit")
+            pid = real()
+            forks.append(pid)
+            return pid
 
         monkeypatch.setattr(os, "fork", fork)
-        assert limited
         assert run_cases([cases[i] for i in limited]) == [expected[i] for i in limited]
+        assert len(forks) >= 40
+
+    def test_items_after_a_rise_of_the_incumbent_searched_here(self, cases, monkeypatch):
+        # Some searches find a larger clique after the split, in an item
+        # that the split searched; the results of the items after it rest
+        # on the old incumbent, so the caller searches those items itself.
+        cases, expected = cases
+        caller = os.getpid()
+        split_best = {}  # id of the call's search tuple -> incumbent of its split
+        stale = []
+        real_items, real_search = split.split_items, solve._search
+
+        def split_items(search, items, best, *args):
+            split_best[id(search)] = best
+            return real_items(search, items, best, *args)
+
+        def search(search, frame, best, *args, **kw):
+            if os.getpid() == caller and best > split_best.get(id(search), best):
+                stale.append(frame)
+            return real_search(search, frame, best, *args, **kw)
+
+        monkeypatch.setattr(split, "split_items", split_items)
+        monkeypatch.setattr(solve, "_search", search)
+        assert run_cases(cases) == expected
+        assert len(stale) >= 10
+
+    def test_stop_inside_the_item_that_raised_the_incumbent(self, cases, monkeypatch):
+        # Split at 256 nodes, this search finds a larger clique inside an
+        # item that the 511-node limit stops at count 512: the caller takes
+        # from the split both the stop and the clique found before it.
+        g = random_graph(random.Random(3), 150, 0.5)
+        case = [(list(g.adj), g.full_mask, dict(budget=SolveOptions(node_budget=511)))]
+        monkeypatch.setattr(solve, "_usable_cpus", lambda: 1)
+        expected = run_cases(case)
+        monkeypatch.setattr(solve, "_usable_cpus", lambda: 2)
+        results = []
+        real = split.split_items
+
+        def split_items(*args):
+            results.append(real(*args))
+            return results[-1]
+
+        monkeypatch.setattr(split, "split_items", split_items)
+        assert run_cases(case) == expected
+        assert expected[0][3] == "budget" and expected[0][2] == 512
+        assert any(trail for (count, status, trail) in results[0].values())
+
+    def test_worker_stopped_by_a_deadline_searched_here(self, cases, monkeypatch):
+        # Every worker stops at its first budget check, as if its deadline
+        # had passed; the caller searches their items itself.
+        cases, expected = cases
+        caller = os.getpid()
+        real = solve._Budget.exceeded
+
+        def exceeded(budget, nodes=0):
+            return os.getpid() != caller or real(budget, nodes)
+
+        monkeypatch.setattr(solve._Budget, "exceeded", exceeded)
+        assert run_cases(cases) == expected
 
     def test_worker_clique_is_rechecked(self, cases, monkeypatch):
         cases, _ = cases
         real = split._search_share
 
-        def share(search, branches, todo, queue, best, nodes):
+        def share(search, items, queue, best, nodes):
             # Report every improvement with one vertex too few.
-            return [(j, value, mask & (mask - 1) if value > best else mask, count, status)
-                    for j, value, mask, count, status
-                    in real(search, branches, todo, queue, best, nodes)]
+            return [(i, count, status, [(at, value, mask & (mask - 1)) for at, value, mask in trail])
+                    for i, count, status, trail in real(search, items, queue, best, nodes)]
 
         monkeypatch.setattr(split, "_search_share", share)
         adj, pool, _ = cases[-1]
@@ -894,6 +1000,34 @@ class TestSplitRobustness:
 
 
 @pytest.mark.usefixtures("nothing_left_behind")
+def test_budgeted_h11_4_pivot_split_gives_the_one_cpu_result(monkeypatch):
+    # The benchmark's H(11,4) search stops at 150,016 nodes inside its
+    # first root branch; split on two CPUs at 1,024 nodes, it still returns
+    # the one-CPU bracket, witness and node count.
+    g, _ = ud.half_cube(11, 4)
+    splits = []
+    real = split.split_items
+
+    def split_items(*args):
+        splits.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(split, "split_items", split_items)
+
+    def on(cpus):
+        monkeypatch.setattr(solve, "_usable_cpus", lambda: cpus)
+        res = solve.alpha_vertex_transitive(g, 0, SolveOptions(node_budget=150_000))
+        return (res.lower_bound, res.upper_bound, res.witness, res.nodes_explored)
+
+    one = on(1)
+    assert not splits
+    assert on(2) == one
+    assert len(splits) == 1
+    assert (one[0], one[1], one[3]) == (32, 115, 150_016)
+    assert ud.check_independent_set(g, one[2])
+
+
+@pytest.mark.usefixtures("nothing_left_behind")
 class TestQueue:
     def test_each_position_taken_once_and_in_order(self):
         # More positions than a pipe holds as 4-byte records, taken by more
@@ -908,7 +1042,7 @@ class TestQueue:
                     code = 1
                     try:
                         os.close(read_end)
-                        taken = list(iter(queue.take, None))
+                        taken = [i for i, _ in iter(queue.take, None)]
                         with open(write_end, "wb") as pipe:
                             pipe.write(marshal.dumps(taken))
                         code = 0
@@ -916,7 +1050,7 @@ class TestQueue:
                         os._exit(code)
                 os.close(write_end)
                 procs.append((pid, read_end))
-            shares = [list(iter(queue.take, None))]
+            shares = [[i for i, _ in iter(queue.take, None)]]
             for pid, read_end in procs:
                 with open(read_end, "rb") as pipe:
                     shares.append(marshal.loads(pipe.read()))
@@ -926,9 +1060,21 @@ class TestQueue:
 
     def test_clear_leaves_nothing_to_take(self):
         with split._Queue(3) as queue:
-            assert queue.take() == 0
+            assert queue.take() == (0, 0)
             queue.clear()
             assert queue.take() is None
+            assert queue.take() is None
+
+    def test_nodes_finished_summed_up_to_the_room(self):
+        with split._Queue(5, room=10) as queue:
+            assert queue.take() == (0, 0)
+            assert queue.take(4) == (1, 4)
+            assert queue.take(5) == (2, 9)
+            assert queue.take(1) is None  # 10 nodes finished fill the room
+            assert queue.take() is None
+        with split._Queue(2) as queue:  # no room: only the positions run out
+            assert queue.take(10**12) == (0, 10**12)
+            assert queue.take(1) == (1, 10**12 + 1)
             assert queue.take() is None
 
 
