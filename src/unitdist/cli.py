@@ -168,14 +168,14 @@ def _load_pool(args) -> e8.CandidatePool:
                 raise formats.FormatError(f"pool point {x} listed twice", line=line_no)
             seen.add(x)
             points.append(x)
-        pool = e8.CandidatePool(tuple(points), e8.BALL_SQ_RADIUS)
+        pool = e8.CandidatePool(tuple(points))
     else:
         pool = e8.enumerate_ball()
     if args.order == "lex":
         return pool
     shuffled = list(pool.points)
     random.Random(args.seed).shuffle(shuffled)
-    return e8.CandidatePool(tuple(shuffled), pool.sq_radius)
+    return e8.CandidatePool(tuple(shuffled))
 
 
 def cmd_augment(args) -> int:

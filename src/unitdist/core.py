@@ -4,6 +4,8 @@ Every graph in this package is stored the same way: ``n`` vertices numbered
 0..n-1 and one Python integer per vertex whose set bits are its neighbours.
 Geometry (integer coordinates plus one squared adjacency distance) lives in a
 separate PointCloud sidecar, so solver code never touches coordinates.
+Vertex permutations live here only: cloud_automorphisms derives them,
+check_automorphisms checks them against the rows, and orbit follows them.
 All arithmetic is exact integer arithmetic; there is no floating point
 anywhere in this module.
 """
@@ -211,7 +213,8 @@ def cloud_automorphisms(cloud: PointCloud) -> list[tuple[int, ...]]:
     vertex-transitive. On the Gosset roots the first three and the
     reflection are kept: the first three generate W(D8), whose two orbits
     are the 112 pair-type and the 128 sign-type roots, and the reflection
-    joins them. The solver re-checks every permutation before it uses one.
+    joins them. The solver checks every permutation with check_automorphisms
+    before it uses one.
     """
     dim = cloud.dim
     if dim < 2:
@@ -233,6 +236,44 @@ def cloud_automorphisms(cloud: PointCloud) -> list[tuple[int, ...]]:
         if -1 not in perm:
             perms.append(perm)
     return perms
+
+
+def check_automorphisms(g: Graph, perms) -> None:
+    """Raise ValueError naming the first of perms that is not an automorphism
+    of g: p[v] is the image of vertex v, and p passes when it is a bijection
+    of 0..n-1 and adj[p[v]] is the image of adj[v] for every v. Rows are
+    scanned highest bit first: pbit[w + 1] is the bit of p[w]."""
+    n = g.n
+    adj = g.adj
+    bit = [0] + [1 << w for w in range(n)]
+    for i, p in enumerate(perms):
+        if sorted(p) != list(range(n)):
+            raise ValueError(f"automorphism {i} is not a permutation of the {n} vertices")
+        pbit = [0] + [bit[w + 1] for w in p]
+        for v in range(n):
+            row = adj[v]
+            image = 0
+            while row:
+                w = row.bit_length()
+                row ^= bit[w]
+                image |= pbit[w]
+            if adj[p[v]] != image:
+                raise ValueError(f"automorphism {i} maps the neighbours of vertex {v} "
+                                 f"onto vertices that are not the neighbours of {p[v]}")
+
+
+def orbit(perms, v: int) -> int:
+    """The orbit of vertex v under the group that perms generate: the mask
+    of the vertices that products of perms map v onto."""
+    mask, frontier = 1 << v, [v]
+    while frontier:
+        u = frontier.pop()
+        for p in perms:
+            w = p[u]
+            if not (mask >> w) & 1:
+                mask |= 1 << w
+                frontier.append(w)
+    return mask
 
 
 def induced_subgraph(g: Graph, keep: VertexSet) -> tuple[Graph, dict[int, int]]:

@@ -10,6 +10,8 @@ exactly when they are orthogonal.
 The augmentation walks a pool of integer points of squared norm <= 16 and
 keeps every point whose addition leaves the independence number unchanged,
 which only ever improves the ratio bound ceil(|V|/alpha).
+The base solves pass core.cloud_automorphisms to max_independent_set, which
+checks them with core.check_automorphisms; this module checks none itself.
 """
 from __future__ import annotations
 
@@ -112,7 +114,6 @@ class CandidatePool:
     """Integer points of bounded squared norm, in a fixed iteration order."""
 
     points: tuple[Vec, ...]
-    sq_radius: int
 
 
 def enumerate_ball(sq_radius: int = BALL_SQ_RADIUS, dim: int = 8) -> CandidatePool:
@@ -134,7 +135,7 @@ def enumerate_ball(sq_radius: int = BALL_SQ_RADIUS, dim: int = 8) -> CandidatePo
         prefix[position] = 0
 
     rec(0, sq_radius)
-    return CandidatePool(tuple(points), sq_radius)
+    return CandidatePool(tuple(points))
 
 
 @dataclass(frozen=True)

@@ -28,14 +28,14 @@ and each worker runs on a CPU other than its caller's. The results are
 merged in item order, and an item whose result the one-CPU search would not
 have produced is searched again in the calling process: the returned value,
 witness, node count and status are the one-CPU search's, unless a deadline
-stops it. Under a node limit the queue also sums the nodes of the items
-finished, so that each process starts an item's count at or below the
-one-CPU search's count there, stops no earlier than it inside the item,
-and takes no item once the items finished reach the stop; the merge then
-knows each item's true start and takes the one-CPU stop from the item in
-which it falls. A search
-splits under a limit only while at least _SPLIT_NODES nodes are left before
-it stops. Nothing is forked on one CPU, or while a second thread runs.
+stops it. The queue also sums the nodes of the items finished, so that
+under a node limit each process starts an item's count at or below the
+one-CPU search's count there and stops no earlier than it inside the item,
+and its own budget check stops it within 256 nodes in an item it starts
+past the stop; the merge then knows each item's true start and takes the
+one-CPU stop from the item in which it falls. A search splits under a limit
+only while at least _SPLIT_NODES nodes are left before it stops. Nothing is
+forked on one CPU, or while a second thread runs.
 (McCreesh and Prosser, Algorithms 2013, also split below the root and hand
 out work as it is asked for, with a shared incumbent that makes node counts
 depend on timing.)
@@ -62,12 +62,13 @@ max_independent_set also takes a caller's _Budget in place of options, so
 that one budget can cover a chain of searches.
 
 Symmetry is used only once it is proven. max_independent_set takes vertex
-permutations as automorphisms, checks each against the adjacency rows
-(adj[p[v]] must be the image of adj[v]; ValueError otherwise), and when the
-orbit of vertex 0 under them is the whole graph, the graph is
+permutations as automorphisms and checks each against the adjacency rows
+with core.check_automorphisms (adj[p[v]] must be the image of adj[v];
+ValueError otherwise), the one place permutations are checked. When
+core.orbit of vertex 0 under them is the whole graph, the graph is
 vertex-transitive, and so is each of its components: the first vertex of
-each component is put into the independent set up front, and only the
-vertices adjacent to none of them are searched. core.cloud_automorphisms
+each component is a pivot, put into the independent set up front, and _mis
+searches only the vertices adjacent to no pivot. core.cloud_automorphisms
 derives such permutations from a point cloud, which the command line reads
 from the .coords sidecar that `build` writes.
 
@@ -94,8 +95,11 @@ from dataclasses import dataclass
 from .core import (
     Graph,
     VertexSet,
+    check_automorphisms,
     connected_components,
     iter_bits,
+    mask_from_indices,
+    orbit,
     ratio_lower_bound,
 )
 
@@ -208,11 +212,11 @@ def check_coloring(g: Graph, coloring: tuple[int, ...], k: int | None = None) ->
 
 # A clique search splits the work it still has to do across processes once
 # it has spent this many nodes, and, under a node limit, only while at least
-# this many are left before it stops. Forking a worker and reaping it took
-# 1.3-2.7 ms at 17-54 MB resident (2-vCPU VM, Python 3.11), the time of about
-# 250-550 nodes, so a search this far in has work enough left to repay it;
-# the certificate pipeline's decisions, 8,000-12,000 nodes each, then split
-# too.
+# this many are left before it stops. A whole split of two empty branches,
+# fork and reap most of it, took 2.3-2.7 ms at 17 MB resident, 3.5-4.0 ms at
+# 54 MB and 5.5 ms at 114 MB (2-vCPU VM, Python 3.11), so a search that ends
+# soon after this many nodes does not repay its split; one that runs on, as
+# the certificate pipeline's decisions of 8,000-12,000 nodes each do, does.
 _SPLIT_NODES = 1 << 10
 
 
@@ -314,17 +318,6 @@ def _relabel(adj, pool: int, order: list[int]) -> list[int]:
     return out
 
 
-def _unrelabel(mask: int, order: list[int] | tuple[int, ...]) -> int:
-    """Map a mask over relabelled vertices back to the caller's labels:
-    bit i becomes bit order[i]."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out |= 1 << order[low.bit_length() - 1]
-    return out
-
-
 def _max_clique_masks(adj, pool: int, *, initial_best: int = 0, stop_at: int | None = None,
                       budget: _Budget) -> tuple[int, int, int, str, int]:
     """Maximum clique over bit rows `adj`, among the vertices of mask `pool`.
@@ -375,7 +368,7 @@ def _max_clique_masks(adj, pool: int, *, initial_best: int = 0, stop_at: int | N
         stop = budget.stop_count()
         split_by = math.inf if stop is None else stop - _SPLIT_NODES
     best, best_mask, nodes, status = _search(search, root, initial_best, 0, 1, split_by=split_by)
-    return (best, _unrelabel(best_mask, order), nodes, status, upper)
+    return (best, mask_from_indices(order[i] for i in iter_bits(best_mask)), nodes, status, upper)
 
 
 def _colour_classes(pool: int, cut: int, bit: list[int], anti: list[int]) -> tuple[list[int], int]:
@@ -507,7 +500,7 @@ def _split(search, items: list[tuple], best: int, best_mask: int,
     from . import split  # loaded only by a search that splits
     nbr, budget = search[0], search[4]
     stop = budget.stop_count()
-    shared = split.split_items(search, items, best, nodes, stop, min(_usable_cpus(), len(items)))
+    shared = split.split_items(search, items, best, nodes, min(_usable_cpus(), len(items)))
     split_best = best
     for i, item in enumerate(items):
         got = shared.get(i) if best == split_best else None
@@ -583,25 +576,45 @@ def _distinct_components(g: Graph, pool: int) -> list[tuple[Graph, list[tuple[in
     return list(groups.values())
 
 
+def _stitched_coloring(g: Graph, solved: list[tuple], k: int) -> tuple[int, ...]:
+    """The coloring of g that gives each copy of a distinct component that
+    component's coloring, from (copies, coloring) per distinct component of
+    _distinct_components. When one coloring serves more than one copy, the
+    result is re-checked on g, with colors in 1..k."""
+    coloring = [0] * g.n
+    for copies, sub_coloring in solved:
+        for copy in copies:
+            for v, c in zip(copy, sub_coloring):
+                coloring[v] = c
+    if any(len(copies) > 1 for copies, _ in solved) and not check_coloring(g, coloring, k):
+        raise RuntimeError("stitched coloring failed its re-check")
+    return tuple(coloring)
+
+
 # ---------------------------------------------------------------------------
 # Public solver entry points
 # ---------------------------------------------------------------------------
 
 
-def _mis(g: Graph, pool: int, bits: int, budget: _Budget, t0: float) -> MisResult | MisIncomplete:
-    """A maximum independent set of g: the independent set `bits` plus the
-    most vertices of pool, none of which has a neighbor in `bits`, timed from t0.
+def _mis(g: Graph, pivots: int, budget: _Budget, t0: float) -> MisResult | MisIncomplete:
+    """A maximum independent set of g that contains the independent set
+    `pivots`, timed from t0: the pivots plus the most vertices of the pool,
+    the vertices that are neither pivots nor adjacent to one.
 
-    Each distinct component inside pool is searched once, as a maximum clique
-    of its complement (in g's own rows when the pool is one component), and
-    its witness serves every copy; the budget's nodes and deadline are spent
-    across the components in turn. When they run out, the lower bound is the
-    size of the stitched witness, and the upper bound adds to |bits| each
-    searched component's certified bound and each unsearched component's
-    size, once per copy.
+    Each distinct component inside the pool is searched once, as a maximum
+    clique of its complement (in g's own rows when the pool is one
+    component), and its witness serves every copy; the budget's nodes and
+    deadline are spent across the components in turn. When they run out,
+    the lower bound is the size of the stitched witness, and the upper bound
+    adds to the number of pivots each searched component's certified bound
+    and each unsearched component's size, once per copy.
     """
     spent_before = budget.spent
-    upper = bits.bit_count()
+    bits = pivots
+    pool = g.full_mask ^ pivots
+    for v in iter_bits(pivots):
+        pool &= ~g.adj[v]
+    upper = pivots.bit_count()
     complete = True
     reused = False
     for sub, copies in _distinct_components(g, pool):
@@ -618,7 +631,7 @@ def _mis(g: Graph, pool: int, bits: int, budget: _Budget, t0: float) -> MisResul
             value = min(sub_upper, sub_pool.bit_count())
         upper += value * len(copies)
         for copy in copies:
-            bits |= _unrelabel(mask, copy)
+            bits |= mask_from_indices(copy[i] for i in iter_bits(mask))
         reused = reused or len(copies) > 1
     witness = VertexSet(g.n, bits)
     if reused and not check_independent_set(g, witness):
@@ -630,74 +643,31 @@ def _mis(g: Graph, pool: int, bits: int, budget: _Budget, t0: float) -> MisResul
     return MisIncomplete(len(witness), upper, witness, nodes, elapsed)
 
 
-def _transitive_under(g: Graph, automorphisms) -> bool:
-    """Whether the permutations, each checked to be an automorphism of g,
-    move vertex 0 onto every vertex of g.
-
-    p[v] is the image of vertex v. A permutation passes when it is a
-    bijection of 0..n-1 and adj[p[v]] equals the image of adj[v] for every
-    v; ValueError names the first one that fails. Rows are scanned highest
-    bit first, as in _relabel: pbit[w + 1] is the bit of p[w].
-    """
-    n = g.n
-    adj = g.adj
-    bit = [0] + [1 << w for w in range(n)]
-    for i, p in enumerate(automorphisms):
-        if sorted(p) != list(range(n)):
-            raise ValueError(f"automorphism {i} is not a permutation of the {n} vertices")
-        pbit = [0] + [bit[w + 1] for w in p]
-        for v in range(n):
-            row = adj[v]
-            image = 0
-            while row:
-                w = row.bit_length()
-                row ^= bit[w]
-                image |= pbit[w]
-            if adj[p[v]] != image:
-                raise ValueError(f"automorphism {i} maps the neighbours of vertex {v} "
-                                 f"onto vertices that are not the neighbours of {p[v]}")
-    if n == 0 or not automorphisms:
-        return False
-    orbit, frontier = 1, [0]
-    while frontier:
-        v = frontier.pop()
-        for p in automorphisms:
-            w = p[v]
-            if not (orbit >> w) & 1:
-                orbit |= 1 << w
-                frontier.append(w)
-    return orbit == g.full_mask
-
-
 def max_independent_set(g: Graph, options: SolveOptions | None = None, automorphisms=(), *,
                         budget: _Budget | None = None) -> MisResult | MisIncomplete:
     """Exact alpha(g) with witness, or the certified bracket of a spent budget.
 
     automorphisms is a sequence of vertex permutations of g, p[v] being the
-    image of v, as from core.cloud_automorphisms; each is checked against
-    the adjacency rows first, and one that is not an automorphism raises
-    ValueError. When the orbit of vertex 0 under them is all of g, g is
-    vertex-transitive, and so is each of its components, as an automorphism
-    that maps u to v maps u's component onto v's. So some maximum
-    independent set contains the first vertex of every component, and only
-    the vertices adjacent to none of those pivots are searched; as the
-    pivots sit at the same place in every copy of a component, so do the
-    components of what is left, and one search serves every copy. Otherwise
-    the whole graph is searched. A caller that spends one budget over
-    several searches passes it as `budget` instead of options. wall_time
-    covers the whole call.
+    image of v, as from core.cloud_automorphisms; core.check_automorphisms
+    checks each against the adjacency rows first, and one that is not an
+    automorphism raises ValueError. When the orbit of vertex 0 under them is
+    all of g, g is vertex-transitive, and so is each of its components, as
+    an automorphism that maps u to v maps u's component onto v's. So some
+    maximum independent set contains the first vertex of every component,
+    and those are the pivots; as they sit at the same place in every copy of
+    a component, so do the components of what is left, and one search
+    serves every copy. Otherwise there is no pivot and the whole graph is
+    searched. A caller that spends one budget over several searches passes
+    it as `budget` instead of options. wall_time covers the whole call.
     """
     t0 = time.perf_counter()
-    transitive = _transitive_under(g, automorphisms)
+    check_automorphisms(g, automorphisms)
     if budget is None:
         budget = _Budget(options or SolveOptions())
-    if transitive:
-        pivots = [comp.bits & -comp.bits for comp in connected_components(g)]
-        taken = 0  # the pivots and their neighbours
-        for low in pivots:
-            taken |= low | g.adj[low.bit_length() - 1]
-        return _mis(g, g.full_mask ^ taken, sum(pivots), budget, t0)
-    return _mis(g, g.full_mask, 0, budget, t0)
+    pivots = 0
+    if g.n and automorphisms and orbit(automorphisms, 0) == g.full_mask:
+        pivots = sum(comp.bits & -comp.bits for comp in connected_components(g))
+    return _mis(g, pivots, budget, t0)
 
 
 def alpha_vertex_transitive(g: Graph, pivot: int,
@@ -709,13 +679,12 @@ def alpha_vertex_transitive(g: Graph, pivot: int,
     independence number of the subgraph induced on the pivot's non-neighbors,
     searched as a pool mask of g. It is not exported, and only the
     benchmark's alpha_exact workload (perfbench) calls it; it goes with
-    ROADMAP item 1's benchmark change, which moves that workload to
+    ROADMAP item 3's benchmark change, which moves that workload to
     max_independent_set with automorphisms the solver checks.
     """
     if not 0 <= pivot < g.n:
         raise ValueError(f"pivot {pivot} out of range")
-    return _mis(g, g.full_mask ^ g.adj[pivot] ^ (1 << pivot), 1 << pivot,
-                _Budget(options or SolveOptions()), time.perf_counter())
+    return _mis(g, 1 << pivot, _Budget(options or SolveOptions()), time.perf_counter())
 
 
 def clique_lower_bound(g: Graph) -> int:
@@ -826,8 +795,7 @@ def k_colorable(g: Graph, k: int, options: SolveOptions | None = None) -> KColor
     if k < 1:
         raise ValueError("k must be at least 1")
     budget = _Budget(options or SolveOptions())
-    coloring = [0] * g.n
-    reused = False
+    solved = []
     for sub, copies in _distinct_components(g, g.full_mask):
         if budget.exceeded():
             return KColorOutcome("unknown", None, budget.spent)
@@ -841,13 +809,8 @@ def k_colorable(g: Graph, k: int, options: SolveOptions | None = None) -> KColor
             budget.spent += outcome.nodes_explored
         if outcome.status != "colorable":
             return KColorOutcome(outcome.status, None, budget.spent)
-        for copy in copies:
-            for v, c in zip(copy, outcome.coloring):
-                coloring[v] = c
-        reused = reused or len(copies) > 1
-    if reused and not check_coloring(g, coloring, k):
-        raise RuntimeError("stitched coloring failed its re-check")
-    return KColorOutcome("colorable", tuple(coloring), budget.spent)
+        solved.append((copies, outcome.coloring))
+    return KColorOutcome("colorable", _stitched_coloring(g, solved, k), budget.spent)
 
 
 def _k_color(g: Graph, k: int, budget: _Budget) -> KColorOutcome:
@@ -955,19 +918,14 @@ def chromatic_number(g: Graph, options: SolveOptions | None = None) -> ColoringR
     searches of one call share one node budget and one deadline.
     """
     budget = _Budget(options or SolveOptions())
-    coloring = [0] * g.n
     lower = upper = 0
-    reused = False
+    solved = []
     for sub, copies in _distinct_components(g, g.full_mask):
         sub_lower, sub_upper, sub_coloring = _chi_connected(sub, budget)
         lower = max(lower, sub_lower)
         upper = max(upper, sub_upper)
-        for copy in copies:
-            for v, c in zip(copy, sub_coloring):
-                coloring[v] = c
-        reused = reused or len(copies) > 1
-    if reused and not check_coloring(g, coloring, upper):
-        raise RuntimeError("stitched coloring failed its re-check")
+        solved.append((copies, sub_coloring))
+    coloring = _stitched_coloring(g, solved, upper)
     if lower == upper:
-        return ColoringResult(upper, tuple(coloring), budget.spent)
-    return ChiBracket(lower, upper, tuple(coloring), budget.spent)
+        return ColoringResult(upper, coloring, budget.spent)
+    return ChiBracket(lower, upper, coloring, budget.spent)

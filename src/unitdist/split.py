@@ -12,14 +12,15 @@ process waits for another longer than one item. Each worker runs on a CPU
 other than its caller's. The caller merges the results in item order
 (solve._split).
 
-Under a node limit the queue also counts the nodes of the items finished so
-far. A process starts each item's count at the count of the split plus that
-sum: no more than the count at which the one-CPU search would start the
-item, as the items finished were all taken before it (and once an item
-beats the incumbent, the merge takes no result of the items after it). So
-the process's own budget check stops it no earlier than the one-CPU search
-stops inside that item, and no process takes an item once that sum reaches
-the stop.
+The queue also counts the nodes of the items finished so far. A process
+starts each item's count at the count of the split plus that sum: no more
+than the count at which the one-CPU search would start the item, as the
+items finished were all taken before it (and once an item beats the
+incumbent, the merge takes no result of the items after it). So under a
+node limit the process's own budget check stops it no earlier than the
+one-CPU search inside that item, and within 256 nodes in an item it starts
+past that stop, where the merge, which stops in the item the stop falls in,
+never reads it.
 """
 from __future__ import annotations
 
@@ -42,13 +43,11 @@ class _Queue:
     that file. Nothing is written per position, so the queue holds any
     number of them. The kernel drops the locks of a process that ends, so a
     worker killed at any point, the lock held or not, stalls no other
-    process. No position is handed out once the nodes finished reach room,
-    if given.
+    process.
     """
 
-    def __init__(self, size: int, room: int | None = None):
+    def __init__(self, size: int):
         self.size = size
-        self.room = room
         self.fd = os.memfd_create("unitdist-split")
         os.pwrite(self.fd, bytes(16), 0)
 
@@ -61,8 +60,7 @@ class _Queue:
             raw = os.pread(self.fd, 16, 0)
             i = int.from_bytes(raw[:8], "little")
             finished = int.from_bytes(raw[8:], "little") + done
-            taken = (not clear and i < self.size
-                     and (self.room is None or finished < self.room))
+            taken = not clear and i < self.size
             after = self.size if clear else i + taken
             os.pwrite(self.fd, after.to_bytes(8, "little") + finished.to_bytes(8, "little"), 0)
         finally:
@@ -126,13 +124,12 @@ def _search_share(search, items: list[tuple], queue: _Queue, best: int,
     return out
 
 
-def split_items(search, items: list[tuple], best: int, nodes: int, stop: int | None,
+def split_items(search, items: list[tuple], best: int, nodes: int,
                 workers: int) -> dict[int, tuple]:
     """Search the items, the work left at count nodes, across `workers`
     processes, this one included, each from incumbent best; {i: (nodes,
     status, improvements)} of _search_share for the items whose results came
-    back. stop is the count at which the one-CPU search stops under the node
-    limit, or None.
+    back.
 
     Each of the workers-1 workers forked here, and then this process, runs
     _search_share on one shared queue of the items. A worker sends its
@@ -153,7 +150,7 @@ def split_items(search, items: list[tuple], best: int, nodes: int, stop: int | N
     procs = []  # (pid, read end of its pipe) of each worker not yet reaped
     allowed = os.sched_getaffinity(0)
     cpus = sorted(allowed - {_current_cpu()}) or sorted(allowed)
-    with _Queue(len(items), None if stop is None else stop - nodes) as queue:
+    with _Queue(len(items)) as queue:
         try:
             for k in range(1, workers):
                 read_end, write_end = os.pipe()

@@ -6,7 +6,7 @@ import pytest
 
 import unitdist as ud
 from unitdist import e8
-from unitdist.core import sq_dist
+from unitdist.core import orbit, sq_dist
 from unitdist.e8 import BALL_SQ_RADIUS, CertificateError, _alpha_after_adding, _neighbor_mask
 from unitdist.solve import SolveOptions, _Budget
 
@@ -382,6 +382,7 @@ class TestBaseSymmetry:
                                                   lambda x: x[1:] + x[:1],
                                                   lambda x: (-x[0], -x[1]) + x[2:])]
         assert orbit_sizes(g.n, perms) == [112, 128]
+        assert [orbit(perms, v).bit_count() for v in (0, g.n - 1)] == [112, 128]
         res = ud.max_independent_set(g, automorphisms=perms)
         assert res.alpha == 16 and res.nodes_explored == 178808
 

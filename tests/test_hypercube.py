@@ -3,9 +3,8 @@ from math import comb
 import pytest
 
 import unitdist as ud
-from unitdist.core import iter_bits, mask_from_indices, sq_dist
+from unitdist.core import check_automorphisms, iter_bits, mask_from_indices, orbit, sq_dist
 from unitdist.hypercube import vector_of
-from unitdist.solve import _transitive_under
 
 
 def hamming(i: int, j: int) -> int:
@@ -182,21 +181,24 @@ class TestCloudAutomorphisms:
         g, cloud = ud.hamming_graph(d, u)
         perms = ud.cloud_automorphisms(cloud)
         assert len(perms) == 4  # swap, shift and both complements
-        assert _transitive_under(g, perms)
+        check_automorphisms(g, perms)
+        assert orbit(perms, 0) == g.full_mask
 
     @pytest.mark.parametrize("d,u", [(3, 2), (4, 2), (6, 2), (6, 4), (8, 6), (10, 4)])
     def test_half_cube_is_transitive(self, d, u):
         g, cloud = ud.half_cube(d, u)
         perms = ud.cloud_automorphisms(cloud)
         assert len(perms) == 3  # swap, shift and the two-coordinate complement
-        assert _transitive_under(g, perms)
+        check_automorphisms(g, perms)
+        assert orbit(perms, 0) == g.full_mask
 
     @pytest.mark.parametrize("d,u,s", [(4, 2, 2), (5, 2, 2), (6, 4, 3), (7, 2, 3), (10, 4, 5)])
     def test_slice_is_transitive(self, d, u, s):
         g, cloud = ud.slice_graph(d, u, s)
         perms = ud.cloud_automorphisms(cloud)
         assert len(perms) == 2  # swap and shift
-        assert _transitive_under(g, perms)
+        check_automorphisms(g, perms)
+        assert orbit(perms, 0) == g.full_mask
 
     def test_slice_solve_takes_the_checked_pivot(self, slice1045):
         g, cloud = slice1045

@@ -331,16 +331,26 @@ class TestAutomorphisms:
         assert ud.check_independent_set(g, got.witness)
         assert all(comp.indices()[0] in got.witness for comp in ud.connected_components(g))
 
+    @pytest.mark.parametrize("pair,alpha,nodes", [("g0_pair", 16, 3905), ("slice1045", 12, 14341)],
+                             ids=["gosset", "c10_4_5"])
+    def test_checked_generators_search_as_the_pivot_at_0(self, request, pair, alpha, nodes):
+        g, cloud = request.getfixturevalue(pair)
+        got = ud.max_independent_set(g, None, ud.cloud_automorphisms(cloud))
+        pivot = solve.alpha_vertex_transitive(g, 0)
+        assert (got.alpha, got.witness, got.nodes_explored) == (
+            pivot.alpha, pivot.witness, pivot.nodes_explored)
+        assert (got.alpha, got.nodes_explored) == (alpha, nodes)
+
     def test_wall_time_covers_the_automorphism_check(self, monkeypatch):
         # The check runs before any search; both result types time the
         # whole call, the check included.
-        real = solve._transitive_under
+        real = solve.check_automorphisms
 
         def slow(g, automorphisms):
             time.sleep(0.2)
             return real(g, automorphisms)
 
-        monkeypatch.setattr(solve, "_transitive_under", slow)
+        monkeypatch.setattr(solve, "check_automorphisms", slow)
         g = ud.Graph.from_edges(6, [(v, (v + 1) % 6) for v in range(6)])
         done = ud.max_independent_set(g, automorphisms=[rotation(6)])
         stopped = ud.max_independent_set(g, ud.SolveOptions(time_budget=1e-9),
@@ -580,6 +590,23 @@ class TestComponents:
         res = solve.alpha_vertex_transitive(g, 0, ud.SolveOptions(time_budget=1e-9))
         assert isinstance(res, ud.MisIncomplete)
         assert (res.lower_bound, res.upper_bound) == (1, 1 + pool.bit_count())
+
+    def test_stitched_wrong_solutions_fail_their_re_checks(self, monkeypatch):
+        # Two copies of a triangle share one component solution, so a wrong
+        # one is wrong on both, and the re-check on the whole graph raises.
+        tri = complete_graph(3)
+        g = disjoint_union([tri, tri], [[0, 1, 2], [3, 4, 5]])
+        monkeypatch.setattr(solve, "_max_clique_masks",
+                            lambda adj, pool, budget: (2, 0b011, 1, "complete", 2))
+        with pytest.raises(RuntimeError, match="stitched independent set"):
+            ud.max_independent_set(g)
+        monkeypatch.setattr(solve, "_k_color",
+                            lambda sub, k, budget: ud.KColorOutcome("colorable", (1, 1, 2), 1))
+        with pytest.raises(RuntimeError, match="stitched coloring"):
+            ud.k_colorable(g, 2)
+        monkeypatch.setattr(solve, "_chi_connected", lambda sub, budget: (1, 1, (1, 1, 1)))
+        with pytest.raises(RuntimeError, match="stitched coloring"):
+            ud.chromatic_number(g)
 
     def test_chi_connected_runs_once_per_distinct_component(self, monkeypatch):
         sizes = []
@@ -1065,14 +1092,14 @@ class TestQueue:
             assert queue.take() is None
             assert queue.take() is None
 
-    def test_nodes_finished_summed_up_to_the_room(self):
-        with split._Queue(5, room=10) as queue:
+    def test_nodes_finished_summed(self):
+        with split._Queue(3) as queue:
             assert queue.take() == (0, 0)
             assert queue.take(4) == (1, 4)
             assert queue.take(5) == (2, 9)
-            assert queue.take(1) is None  # 10 nodes finished fill the room
+            assert queue.take(1) is None  # only the positions run out
             assert queue.take() is None
-        with split._Queue(2) as queue:  # no room: only the positions run out
+        with split._Queue(2) as queue:
             assert queue.take(10**12) == (0, 10**12)
             assert queue.take(1) == (1, 10**12 + 1)
             assert queue.take() is None
