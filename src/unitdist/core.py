@@ -4,8 +4,9 @@ Every graph in this package is stored the same way: ``n`` vertices numbered
 0..n-1 and one Python integer per vertex whose set bits are its neighbours.
 Geometry (integer coordinates plus one squared adjacency distance) lives in a
 separate PointCloud sidecar, so solver code never touches coordinates.
-Vertex permutations live here only: cloud_automorphisms derives them,
-check_automorphisms checks them against the rows, and orbit follows them.
+Vertex permutations are derived and checked here only: cloud_automorphisms
+derives them, check_automorphisms checks them against the rows, and orbit
+follows them; module orbital builds products of checked ones.
 All arithmetic is exact integer arithmetic; there is no floating point
 anywhere in this module.
 """

@@ -41,8 +41,9 @@ out work as it is asked for, with a shared incumbent that makes node counts
 depend on timing.)
 
 Chromatic numbers are bracketed between max(clique bound, ceil(n/alpha))
-and a DSATUR coloring, then closed with a complete k-colorability search
-that forces the first occurrence of each new color.
+and a DSATUR coloring, then closed with complete k-colorability searches
+that force the first occurrence of each new color: one try at one color
+fewer than DSATUR's, then upward from the lower end.
 
 DSATUR is written once, over bit masks, and serves both the greedy bound and
 the k-colorability search: forb[c] holds the vertices with a neighbor of color
@@ -64,13 +65,16 @@ that one budget can cover a chain of searches.
 Symmetry is used only once it is proven. max_independent_set takes vertex
 permutations as automorphisms and checks each against the adjacency rows
 with core.check_automorphisms (adj[p[v]] must be the image of adj[v];
-ValueError otherwise), the one place permutations are checked. When
-core.orbit of vertex 0 under them is the whole graph, the graph is
-vertex-transitive, and so is each of its components: the first vertex of
-each component is a pivot, put into the independent set up front, and _mis
-searches only the vertices adjacent to no pivot. core.cloud_automorphisms
-derives such permutations from a point cloud, which the command line reads
-from the .coords sidecar that `build` writes.
+ValueError otherwise), the one place permutations are checked. Given any,
+it searches by orbital branching under the group they generate (module
+orbital, loaded only then): each node adds the smallest vertex of its
+group's largest orbit in one child, under random Schreier generators of
+that vertex's stabiliser, and deletes the whole orbit in the other, and a
+node whose group fixes its pool hands the pool to the clique kernel. Every
+permutation it builds is a product of checked ones, and its witness is
+re-checked. core.cloud_automorphisms derives such permutations from a
+point cloud, which the command line reads from the .coords sidecar that
+`build` writes.
 
 The public entry points split a disconnected graph, or the pool mask they
 search, into its connected components and solve each distinct component
@@ -99,7 +103,6 @@ from .core import (
     connected_components,
     iter_bits,
     mask_from_indices,
-    orbit,
     ratio_lower_bound,
 )
 
@@ -650,24 +653,20 @@ def max_independent_set(g: Graph, options: SolveOptions | None = None, automorph
     automorphisms is a sequence of vertex permutations of g, p[v] being the
     image of v, as from core.cloud_automorphisms; core.check_automorphisms
     checks each against the adjacency rows first, and one that is not an
-    automorphism raises ValueError. When the orbit of vertex 0 under them is
-    all of g, g is vertex-transitive, and so is each of its components, as
-    an automorphism that maps u to v maps u's component onto v's. So some
-    maximum independent set contains the first vertex of every component,
-    and those are the pivots; as they sit at the same place in every copy of
-    a component, so do the components of what is left, and one search
-    serves every copy. Otherwise there is no pivot and the whole graph is
-    searched. A caller that spends one budget over several searches passes
-    it as `budget` instead of options. wall_time covers the whole call.
+    automorphism raises ValueError. With none, each distinct component of g
+    is searched once by the clique kernel (_mis); with some, the search is
+    orbital branching under the group they generate (module orbital). A caller
+    that spends one budget over several searches passes it as `budget`
+    instead of options. wall_time covers the whole call.
     """
     t0 = time.perf_counter()
     check_automorphisms(g, automorphisms)
     if budget is None:
         budget = _Budget(options or SolveOptions())
-    pivots = 0
-    if g.n and automorphisms and orbit(automorphisms, 0) == g.full_mask:
-        pivots = sum(comp.bits & -comp.bits for comp in connected_components(g))
-    return _mis(g, pivots, budget, t0)
+    if not automorphisms:
+        return _mis(g, 0, budget, t0)
+    from . import orbital  # loaded only by a solve given automorphisms
+    return orbital.independent_set(g, list(automorphisms), budget, t0)
 
 
 def alpha_vertex_transitive(g: Graph, pivot: int,
@@ -898,6 +897,17 @@ def _chi_connected(g: Graph, budget: _Budget) -> tuple[int, int, tuple[int, ...]
     if status != "complete":
         alpha = min(alpha_upper, g.n)
     lower = max(lower, ratio_lower_bound(g.n, alpha))
+
+    # One try from the top before the bottom-up close: a coloring with one
+    # color fewer than DSATUR's lowers the upper end even when the budget
+    # then runs out below it, and a refutation closes chi at once.
+    if upper - 1 > lower:
+        outcome = _k_color(g, upper - 1, budget)
+        budget.spent += outcome.nodes_explored
+        if outcome.status == "uncolorable":
+            return (upper, upper, upper_coloring)
+        if outcome.status == "colorable":
+            upper, upper_coloring = upper - 1, outcome.coloring
 
     # _k_color needs 2 <= k < upper: g has an edge, so its clique bound is 2.
     for k in range(lower, upper):

@@ -113,23 +113,21 @@ def test_criterion_4_half_cube_10_4():
 
 
 def test_criterion_5_half_cube_11_4_budgeted():
+    # Exact under checked symmetry: orbital branching closes alpha(H(11,4))
+    # = 32 well inside a 150,000-node budget, which only guards against a
+    # search that runs away.
     g, cloud = ud.half_cube(11, 4)
     t0 = time.perf_counter()
     res = ud.max_independent_set(g, ud.SolveOptions(node_budget=150_000),
                                  ud.cloud_automorphisms(cloud))
     elapsed = time.perf_counter() - t0
-    if isinstance(res, ud.MisResult):
-        lower = upper = res.alpha
-    else:
-        lower, upper = res.lower_bound, res.upper_bound
     bound = ud.ratio_lower_bound(g.n, 32)
-    ok = (lower == 32 and lower <= 32 <= upper
-          and upper == 115 and res.nodes_explored == 150_016
-          and len(res.witness) == 32
+    ok = (isinstance(res, ud.MisResult) and res.alpha == 32
+          and res.nodes_explored == 2_852 and len(res.witness) == 32
           and ud.check_independent_set(g, res.witness)
-          and bound == 32)
+          and bound == 32 and elapsed < 60)
     report("criterion-5", ok,
-           f"alpha(H(11,4)) witness {lower}, bracket [{lower},{upper}] contains 32, "
+           f"alpha(H(11,4))={getattr(res, 'alpha', None)} in {res.nodes_explored} nodes "
            f"=> chi(R^11) >= {bound} and chi(R^12) >= {bound}, time={elapsed:.1f}s")
 
 

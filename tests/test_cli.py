@@ -109,7 +109,7 @@ class TestAlpha:
         assert code == EXIT_OK
         code, out, _ = run(capsys, "alpha", f"{prefix}.graph", "--budget-nodes", "50000")
         assert code == EXIT_OK
-        assert "result alpha=58 ratio_bound=5 n=256 nodes=1047 " in out
+        assert "result alpha=58 ratio_bound=5 n=256 nodes=111 " in out
 
     def test_alpha_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "alpha", str(tmp_path / "nope.graph"))

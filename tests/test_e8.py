@@ -147,8 +147,7 @@ def tiny_state(points, sq, options=None):
 def decide(state, x, witnesses=None):
     """(alpha of the state's graph plus x, nodes), by augment's decision."""
     return _alpha_after_adding(state.graph, state.cloud, state.alpha, x,
-                               _neighbor_mask(state.cloud, x), _Budget(SolveOptions()),
-                               witnesses)
+                               _Budget(SolveOptions()), witnesses)[:2]
 
 
 class TestAdditionPreservesAlpha:
@@ -286,6 +285,26 @@ class TestAugmentGreedy:
         assert final.rejected_count == 2
         assert final.nodes_explored - state.nodes_explored == 21
 
+    def test_cached_witness_rejects_before_the_neighbour_scan(self, g0_state, monkeypatch):
+        # The cache is tested on the witness's own coordinates, so a point it
+        # rejects never pays for the scan of every point of the graph.
+        state = g0_state
+        witnesses = []
+        decide(state, NORM_12_POINT, witnesses)
+        scans = []
+        real = e8._neighbor_mask
+
+        def counting(cloud, x):
+            scans.append(x)
+            return real(cloud, x)
+
+        monkeypatch.setattr(e8, "_neighbor_mask", counting)
+        assert _alpha_after_adding(state.graph, state.cloud, 16, MISSES_NORM_12_WITNESS,
+                                   _Budget(SolveOptions()), witnesses) == (17, 0, None)
+        assert scans == []
+        assert decide(state, NORM_12_POINT, []) == (17, 21)
+        assert scans == [NORM_12_POINT]
+
     @pytest.mark.parametrize("tamper", ["short", "not-independent"])
     def test_cached_witness_is_rechecked(self, g0_state, tamper):
         # Either tampered set still misses the second point's neighbours, so
@@ -313,8 +332,8 @@ class TestAugmentGreedy:
         candidates = [x for x in ud.enumerate_ball().points if x not in present][:300]
         graph, cloud = state.graph, state.cloud
         for x in candidates:
-            nbr = _neighbor_mask(cloud, x)
-            if _alpha_after_adding(graph, cloud, 16, x, nbr, _Budget(SolveOptions()))[0] == 16:
+            alpha, _, nbr = _alpha_after_adding(graph, cloud, 16, x, _Budget(SolveOptions()))
+            if alpha == 16:
                 cloud, graph = e8._extend(cloud, graph, x, nbr)
         assert cloud.points[240:] == final.added
 
@@ -376,7 +395,10 @@ def orbit_sizes(n, perms):
 
 
 class TestBaseSymmetry:
-    def test_w_d8_maps_alone_fall_back_to_the_full_solve(self, g0_pair):
+    def test_w_d8_maps_alone_branch_on_its_two_orbits(self, g0_pair):
+        # Without the reflection the group is not transitive, and the orbital
+        # search branches on its orbits: 32 nodes, against 178,808 without
+        # symmetry.
         g, cloud = g0_pair
         perms = [isometry_perm(cloud, f) for f in (lambda x: (x[1], x[0]) + x[2:],
                                                   lambda x: x[1:] + x[:1],
@@ -384,7 +406,8 @@ class TestBaseSymmetry:
         assert orbit_sizes(g.n, perms) == [112, 128]
         assert [orbit(perms, v).bit_count() for v in (0, g.n - 1)] == [112, 128]
         res = ud.max_independent_set(g, automorphisms=perms)
-        assert res.alpha == 16 and res.nodes_explored == 178808
+        assert res.alpha == 16 and res.nodes_explored == 32
+        assert ud.check_independent_set(g, res.witness)
 
     def test_initial_state_takes_the_checked_pivot(self, g0_pair):
         # The two complements x0 -> 1 - x0 and (x0, x1) -> (1 - x0, 1 - x1)
@@ -398,7 +421,7 @@ class TestBaseSymmetry:
             lambda x: tuple(c - sum(x) // 4 for c in x))]
         assert orbit_sizes(g.n, perms) == [240]
         state = ud.initial_state(g, cloud)
-        assert state.alpha == 16 and state.nodes_explored == 3905
+        assert state.alpha == 16 and state.nodes_explored == 14
 
     def test_tiny_clouds_get_no_transitive_set(self):
         assert ud.cloud_automorphisms(ud.PointCloud(3, ((0, 0, 0), (2, 0, 0)), 4)) == []
@@ -430,7 +453,7 @@ class TestVerifyChain:
         report = ud.verify_certificate(ud.Certificate("gosset-240", points, 16, 16))
         assert (report.graph_name, report.n_vertices, report.alpha, report.chi_lower) == (
             "gosset-240+12", 252, 16, 16)
-        assert nodes[0] == 120018
+        assert nodes[0] == 116127
 
     def test_isolated_point_raises_alpha(self):
         # An odd-norm point has no neighbour: alpha(G0 + x) = 17.
@@ -450,7 +473,7 @@ class TestVerifyChain:
             ud.verify_certificate(ud.Certificate("gosset-240", points, 16, 19))
         assert err.value.condition == "alpha-mismatch"
         assert "recomputed alpha 17 after 1 of 50 points" in err.value.detail
-        assert nodes[0] == 3905
+        assert nodes[0] == 14
 
     def test_chain_matches_a_fresh_solve(self, g0_pair):
         # A rise in the middle of the chain, then points decided against 17.
@@ -463,16 +486,17 @@ class TestVerifyChain:
             "gosset-240", points, fresh.alpha, ud.ratio_lower_bound(len(whole), fresh.alpha)))
         assert report.alpha == fresh.alpha == 18
 
-    @pytest.mark.parametrize("node_budget", [1000, 6000])
+    @pytest.mark.parametrize("node_budget", [8, 1000, 6000])
     def test_node_budget_gives_bracket(self, node_budget):
-        # 1,000 nodes stop the base solve, 6,000 stop a step of the chain.
+        # 8 nodes stop the base solve, which takes 14; 1,000 and 6,000 stop
+        # a step of the chain.
         cert = ud.shipped_certificate()
         with pytest.raises(CertificateError) as err:
             ud.verify_certificate(cert, ud.SolveOptions(node_budget=node_budget))
         assert err.value.condition == "budget"
         lower, upper = map(int, re.search(r"\[(\d+), (\d+)\]", err.value.detail).groups())
         assert lower <= 16 <= upper
-        assert (lower == 16) == (node_budget > 3905)  # the base alpha is exact
+        assert (lower == 16) == (node_budget > 14)  # the base alpha is exact
 
 
 class TestVerifyCertificateChecks:

@@ -203,7 +203,7 @@ class TestCloudAutomorphisms:
     def test_slice_solve_takes_the_checked_pivot(self, slice1045):
         g, cloud = slice1045
         res = ud.max_independent_set(g, None, ud.cloud_automorphisms(cloud))
-        assert res.alpha == 12 and res.nodes_explored == 14341
+        assert res.alpha == 12 and res.nodes_explored == 100
         assert 0 in res.witness and ud.check_independent_set(g, res.witness)
 
 

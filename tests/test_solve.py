@@ -11,6 +11,7 @@ import pytest
 
 import unitdist as ud
 from unitdist import solve, split
+from unitdist.core import iter_bits
 from unitdist.solve import (
     SolveOptions,
     _Budget,
@@ -268,8 +269,10 @@ class TestAutomorphisms:
             ud.max_independent_set(path, automorphisms=[(2, 1, 0), perm])
 
     def test_transitive_set_takes_the_pivot(self):
-        # A rotation moves vertex 0 around a circulant: the solve is the
-        # pivot reduction at 0, node for node.
+        # A rotation moves vertex 0 around a circulant, and no rotation but
+        # the identity fixes it: the orbital root adds vertex 0 and deletes
+        # the orbit, and below it the solve is the pivot reduction at 0,
+        # node for node, plus the root.
         rng = random.Random(5)
         for _ in range(10):
             n = rng.randrange(6, 17)
@@ -279,26 +282,28 @@ class TestAutomorphisms:
             got = ud.max_independent_set(g, automorphisms=[rotation(n)])
             pivot = solve.alpha_vertex_transitive(g, 0)
             assert (got.alpha, got.witness, got.nodes_explored) == (
-                pivot.alpha, pivot.witness, pivot.nodes_explored)
+                pivot.alpha, pivot.witness, pivot.nodes_explored + 1)
             assert got.alpha == brute_alpha(g) and 0 in got.witness
 
-    def test_orbit_short_of_the_graph_searches_it_whole(self):
-        # The reflection of a path moves vertex 0 only onto the other end.
+    def test_orbits_short_of_the_graph_branch_on_them(self):
+        # The reflection of a path pairs vertex v with n - 1 - v: the search
+        # branches on those pairs and agrees with the plain solve.
         rng = random.Random(6)
         for _ in range(10):
             n = rng.randrange(3, 30)
             g = ud.Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
             got = ud.max_independent_set(g, automorphisms=[tuple(range(n - 1, -1, -1))])
-            direct = ud.max_independent_set(g)
-            assert (got.alpha, got.witness, got.nodes_explored) == (
-                direct.alpha, direct.witness, direct.nodes_explored)
+            assert got.alpha == ud.max_independent_set(g).alpha == (n + 1) // 2
+            assert ud.check_independent_set(g, got.witness) and len(got.witness) == got.alpha
 
     def test_copies_of_a_transitive_component_pivot_each(self):
         # Interleaved copies of one circulant: the rotation of every copy at
         # once and a shift of each copy onto the next move vertex 0 onto
-        # every vertex. The first vertex of each copy is taken; when the
-        # copies keep the circulant's vertex order, one pivot search serves
-        # them all, node for node.
+        # every vertex. Each distinct copy is searched under the rotation,
+        # which maps it onto itself, so the first vertex of each copy is
+        # taken; when the copies keep the circulant's vertex order, one
+        # search serves them all: the pivot search at 0, node for node, plus
+        # its orbital root.
         rng = random.Random(8)
         for keep_order in (True, False):
             for _ in range(10):
@@ -319,7 +324,7 @@ class TestAutomorphisms:
                 assert ud.check_independent_set(g, got.witness)
                 assert all(min(lab) in got.witness for lab in labels)
                 if keep_order:
-                    assert got.nodes_explored == one.nodes_explored
+                    assert got.nodes_explored == one.nodes_explored + 1
 
     def test_c86_pivots_each_half_and_searches_one(self):
         g, cloud = ud.hamming_graph(8, 6)
@@ -327,19 +332,22 @@ class TestAutomorphisms:
                                      ud.cloud_automorphisms(cloud))
         plain = ud.max_independent_set(g, ud.SolveOptions(node_budget=50_000))
         assert isinstance(got, ud.MisResult)
-        assert got.alpha == plain.alpha == 58 and got.nodes_explored == 1047
+        assert got.alpha == plain.alpha == 58 and got.nodes_explored == 111
         assert ud.check_independent_set(g, got.witness)
         assert all(comp.indices()[0] in got.witness for comp in ud.connected_components(g))
 
-    @pytest.mark.parametrize("pair,alpha,nodes", [("g0_pair", 16, 3905), ("slice1045", 12, 14341)],
+    @pytest.mark.parametrize("pair,alpha,nodes,pivot_nodes",
+                             [("g0_pair", 16, 14, 3905), ("slice1045", 12, 100, 14341)],
                              ids=["gosset", "c10_4_5"])
-    def test_checked_generators_search_as_the_pivot_at_0(self, request, pair, alpha, nodes):
+    def test_checked_generators_beat_the_pivot_at_0(self, request, pair, alpha, nodes,
+                                                    pivot_nodes):
+        # The same alpha as the one-level pivot at vertex 0, in fewer nodes.
         g, cloud = request.getfixturevalue(pair)
         got = ud.max_independent_set(g, None, ud.cloud_automorphisms(cloud))
         pivot = solve.alpha_vertex_transitive(g, 0)
-        assert (got.alpha, got.witness, got.nodes_explored) == (
-            pivot.alpha, pivot.witness, pivot.nodes_explored)
-        assert (got.alpha, got.nodes_explored) == (alpha, nodes)
+        assert (got.alpha, got.nodes_explored) == (pivot.alpha, nodes) == (alpha, nodes)
+        assert pivot.nodes_explored == pivot_nodes
+        assert ud.check_independent_set(g, got.witness) and len(got.witness) == alpha
 
     def test_wall_time_covers_the_automorphism_check(self, monkeypatch):
         # The check runs before any search; both result types time the
@@ -371,6 +379,68 @@ class TestAutomorphisms:
         second = ud.max_independent_set(g, budget=budget)
         assert first.nodes_explored == second.nodes_explored > 0
         assert budget.spent == 2 * first.nodes_explored
+
+
+def small_cube_graphs():
+    """Every C(d,u), H(d,u) (u even) and C(d,u,s) (0 < s < d) with d <= 7."""
+    for d in range(2, 8):
+        for u in range(1, d + 1):
+            yield f"C({d},{u})", ud.hamming_graph(d, u)
+            if u % 2 == 0:
+                yield f"H({d},{u})", ud.half_cube(d, u)
+            for s in range(1, d):
+                yield f"C({d},{u},{s})", ud.slice_graph(d, u, s)
+
+
+class TestOrbital:
+    def test_alpha_agrees_with_the_plain_kernel_on_small_cubes(self):
+        checked = 0
+        for name, (g, cloud) in small_cube_graphs():
+            got = ud.max_independent_set(g, None, ud.cloud_automorphisms(cloud))
+            plain = ud.max_independent_set(g)
+            assert got.alpha == plain.alpha, name
+            assert len(got.witness) == got.alpha and ud.check_independent_set(g, got.witness), name
+            checked += 1
+        assert checked == 151
+
+    @pytest.mark.parametrize("pair,alpha", [("slice1045", 12), ("g0_pair", 16)])
+    def test_budgeted_brackets_contain_alpha(self, request, pair, alpha):
+        g, cloud = request.getfixturevalue(pair)
+        perms = ud.cloud_automorphisms(cloud)
+        whole = ud.max_independent_set(g, None, perms).nodes_explored
+        for limit in (0, 1, 2, 5, whole // 4, whole // 2, whole - 2):
+            res = ud.max_independent_set(g, ud.SolveOptions(node_budget=limit), perms)
+            assert isinstance(res, ud.MisIncomplete), limit
+            assert res.lower_bound <= alpha <= res.upper_bound, limit
+            assert len(res.witness) == res.lower_bound, limit
+            assert ud.check_independent_set(g, res.witness), limit
+            assert limit < res.nodes_explored <= whole, limit
+        res = ud.max_independent_set(g, ud.SolveOptions(node_budget=whole), perms)
+        assert isinstance(res, ud.MisResult) and res.alpha == alpha
+
+    def test_same_tuple_on_every_run(self, slice1045):
+        g, cloud = slice1045
+        perms = ud.cloud_automorphisms(cloud)
+        runs = {(r.alpha, r.witness, r.nodes_explored)
+                for r in (ud.max_independent_set(g, None, perms) for _ in range(3))}
+        assert len(runs) == 1
+
+    def test_orbital_witness_is_rechecked(self, monkeypatch, slice1045):
+        # A kernel that adds to its clique a vertex of the pool adjacent to
+        # it in g: the orbital search takes the larger set, and its re-check
+        # on the whole graph raises.
+        g, cloud = slice1045
+        real = solve._max_clique_masks
+
+        def wrong(adj, pool, initial_best, budget):
+            value, found, nodes, status, upper = real(adj, pool, initial_best=initial_best,
+                                                      budget=budget)
+            extra = next((1 << w for v in iter_bits(found) for w in iter_bits(g.adj[v] & pool)), 0)
+            return value + (extra > 0), found | extra, nodes, status, upper + 1
+
+        monkeypatch.setattr(solve, "_max_clique_masks", wrong)
+        with pytest.raises(RuntimeError, match="orbital search failed its re-check"):
+            ud.max_independent_set(g, None, ud.cloud_automorphisms(cloud))
 
 
 class TestDegeneracyOrder:
@@ -481,13 +551,37 @@ class TestChromaticNumber:
 
     def test_one_node_budget_covers_every_search(self):
         # The clique bound and every k-colorability search share one limit,
-        # so the count stays within the limit plus one 256-node batch.
+        # so the count stays within the limit plus one 256-node batch. The
+        # try from the top finds a 7-coloring before the budget runs out.
         g, _ = ud.hamming_graph(8, 6)
         res = ud.chromatic_number(g, ud.SolveOptions(node_budget=100_000))
         assert isinstance(res, ud.ChiBracket)
-        assert (res.lower, res.upper) == (5, 8)
+        assert (res.lower, res.upper) == (5, 7)
         assert res.nodes_explored <= 100_256
         assert ud.check_coloring(g, res.coloring, res.upper)
+
+    def test_refutation_from_the_top_closes_chi(self, monkeypatch):
+        # The Mycielski graph M5: 23 vertices, triangle-free, chi 5, alpha
+        # 11, so the bracket starts at [3, 5]. The try at k = 4 refutes, and
+        # no search below it is made.
+        g = ud.Graph.from_edges(2, [(0, 1)])
+        for _ in range(3):
+            n = g.n
+            edges = list(g.edges())
+            edges += [e for i, j in g.edges() for e in ((i, n + j), (j, n + i))]
+            g = ud.Graph.from_edges(2 * n + 1, edges + [(n + i, 2 * n) for i in range(n)])
+        tried = []
+        real = solve._k_color
+
+        def recording(sub, k, budget):
+            tried.append(k)
+            return real(sub, k, budget)
+
+        monkeypatch.setattr(solve, "_k_color", recording)
+        res = ud.chromatic_number(g)
+        assert isinstance(res, ud.ColoringResult) and res.chi == 5
+        assert ud.check_coloring(g, res.coloring, 5)
+        assert tried == [4]
 
     def test_row_monotonicity_under_embedding(self):
         # appending a zero coordinate makes C(d, u) an induced subgraph of C(d+1, u)
