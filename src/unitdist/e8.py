@@ -261,46 +261,46 @@ def augment_greedy(state: AugmentationState, pool, *,
     walk untested, and the nodes its stopped search spent still count in
     nodes_explored, which adds the walk's budget.spent to the state's count.
     """
-    budget = _Budget(SolveOptions(time_budget=time_budget or None))
-    points = pool.points if isinstance(pool, CandidatePool) else tuple(pool)
+    with _Budget(SolveOptions(time_budget=time_budget or None)) as budget:
+        points = pool.points if isinstance(pool, CandidatePool) else tuple(pool)
 
-    cloud, graph, alpha = state.cloud, state.graph, state.alpha
-    added = list(state.added)
-    rejected = state.rejected_count
-    tested = state.candidates_tested
-    present = set(cloud.points)
-    termination = "pool_exhausted"
-    witnesses: list[int] = []
+        cloud, graph, alpha = state.cloud, state.graph, state.alpha
+        added = list(state.added)
+        rejected = state.rejected_count
+        tested = state.candidates_tested
+        present = set(cloud.points)
+        termination = "pool_exhausted"
+        witnesses: list[int] = []
 
-    for x in points:
-        if x in present:
-            continue
-        if max_candidates is not None and tested >= max_candidates:
-            termination = "budget_candidates"
-            break
-        if max_accepted is not None and len(added) - len(state.added) >= max_accepted:
-            termination = "budget_accepted"
-            break
-        try:
-            new_alpha, _, nbr = _alpha_after_adding(graph, cloud, alpha, x, budget, witnesses)
-        except TimeoutError:
-            termination = "budget_time"
-            break
-        tested += 1
-        if new_alpha == alpha:
-            cloud, graph = _extend(cloud, graph, x, nbr)
-            present.add(x)
-            added.append(x)
-            if log:
-                log(x, True, alpha)
-        else:
-            # rejection leaves the graph, and therefore the running alpha, unchanged
-            rejected += 1
-            if log:
-                log(x, False, alpha)
+        for x in points:
+            if x in present:
+                continue
+            if max_candidates is not None and tested >= max_candidates:
+                termination = "budget_candidates"
+                break
+            if max_accepted is not None and len(added) - len(state.added) >= max_accepted:
+                termination = "budget_accepted"
+                break
+            try:
+                new_alpha, _, nbr = _alpha_after_adding(graph, cloud, alpha, x, budget, witnesses)
+            except TimeoutError:
+                termination = "budget_time"
+                break
+            tested += 1
+            if new_alpha == alpha:
+                cloud, graph = _extend(cloud, graph, x, nbr)
+                present.add(x)
+                added.append(x)
+                if log:
+                    log(x, True, alpha)
+            else:
+                # rejection leaves the graph, and therefore the running alpha, unchanged
+                rejected += 1
+                if log:
+                    log(x, False, alpha)
 
-    return AugmentationState(cloud, graph, alpha, tuple(added), rejected,
-                             tested, termination, state.nodes_explored + budget.spent)
+        return AugmentationState(cloud, graph, alpha, tuple(added), rejected,
+                                 tested, termination, state.nodes_explored + budget.spent)
 
 
 @dataclass(frozen=True)
@@ -361,7 +361,12 @@ def verify_certificate(cert: Certificate,
     claim that the chain has already passed fails without deciding the
     remaining points.
     """
-    budget = _Budget(options or SolveOptions())
+    with _Budget(options or SolveOptions()) as budget:
+        return _verify(cert, budget)
+
+
+def _verify(cert: Certificate, budget: _Budget) -> BoundReport:
+    """verify_certificate's checks, in its order, spending budget."""
     if cert.base != GOSSET_BASE_NAME:
         raise CertificateError("unknown-base", f"cannot resolve base {cert.base!r}")
     graph, cloud = build_g0()

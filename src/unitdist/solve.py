@@ -16,11 +16,15 @@ keeps an explicit stack, so neither is bounded by the interpreter's
 recursion limit and neither changes it.
 
 Once a clique search has spent _SPLIT_NODES nodes, wherever its depth-first
-search stands, it forks one worker per further usable CPU (module split:
-os.fork, a shared queue, a pipe and marshal, loaded only by a search that
-splits). The work the search still has to do becomes a list of items: the
-current node's children not yet searched, then each parent's, deepest
-first, down to the root's, in the order the one-CPU search would take them.
+search stands, it splits its work across one worker per further usable CPU
+(module split: os.fork, a shared queue, pipes and marshal, loaded only by a
+search that splits). The workers are forked at the first split of the call,
+kept for its later splits, each of which sends them its work through their
+pipes, and ended when the call returns or raises (_Budget.close), so a
+call forks once however often it splits. The work the search still has to
+do becomes a list of items: the current node's children not yet searched,
+then each parent's, deepest first, down to the root's, in the order the
+one-CPU search would take them.
 The items wait in the queue in that order, and every process, the caller
 included, takes the next one whenever it has finished one, each searched
 from the incumbent of the split, so no incumbent is shared while they run,
@@ -58,7 +62,9 @@ Each public entry point builds one _Budget from its SolveOptions and hands
 that object to every search it makes; no search builds a budget of its own.
 The function that calls a search adds the nodes the search reports to
 budget.spent straight after the call, so each node is counted once and every
-search of one call draws on one node limit and one deadline.
+search of one call draws on one node limit and one deadline. The budget
+also holds the call's split workers, and the function that built it closes
+it, in a `with` block, so that no worker outlives the call.
 max_independent_set also takes a caller's _Budget in place of options, so
 that one budget can cover a chain of searches.
 
@@ -215,11 +221,12 @@ def check_coloring(g: Graph, coloring: tuple[int, ...], k: int | None = None) ->
 
 # A clique search splits the work it still has to do across processes once
 # it has spent this many nodes, and, under a node limit, only while at least
-# this many are left before it stops. A whole split of two empty branches,
-# fork and reap most of it, took 2.3-2.7 ms at 17 MB resident, 3.5-4.0 ms at
-# 54 MB and 5.5 ms at 114 MB (2-vCPU VM, Python 3.11), so a search that ends
-# soon after this many nodes does not repay its split; one that runs on, as
-# the certificate pipeline's decisions of 8,000-12,000 nodes each do, does.
+# this many are left before it stops. A call's first split of two empty
+# items, the fork and, at the call's end, the reap, took 3.0, 4.9 and 10.8 ms
+# at 17, 54 and 115 MB resident, and each later split of the call, which
+# sends its workers a job, 0.06-0.08 ms (medians of 30 and 120; 2-vCPU VM,
+# Python 3.11). So a call pays for its fork once, and a search that ends soon
+# after this many nodes costs its call little more than that fork.
 _SPLIT_NODES = 1 << 10
 
 
@@ -232,9 +239,14 @@ class _Budget:
     so the node count may overshoot the limit by up to 256. Its caller adds
     the nodes it reports to `spent` straight after the call; `spent` is the
     only node tally, and every search of one call shares the node limit.
+
+    The first search of the call that splits forks the call's workers into
+    `workers` (split._Workers), and every later split of the call uses
+    them. Whoever builds a budget ends them with close(), in a `with`
+    block, so no worker outlives the call.
     """
 
-    __slots__ = ("node_limit", "deadline", "spent")
+    __slots__ = ("node_limit", "deadline", "spent", "workers")
 
     def __init__(self, options: SolveOptions):
         self.node_limit = options.node_budget
@@ -242,6 +254,19 @@ class _Budget:
         if options.time_budget is not None:
             self.deadline = time.monotonic() + options.time_budget
         self.spent = 0
+        self.workers = None
+
+    def close(self) -> None:
+        """End the workers of the call's splits, if it forked any."""
+        if self.workers is not None:
+            self.workers.close()
+            self.workers = None
+
+    def __enter__(self) -> "_Budget":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def exceeded(self, nodes: int = 0) -> bool:
         """Whether spent plus `nodes` passes the node limit, or the deadline
@@ -352,19 +377,14 @@ def _max_clique_masks(adj, pool: int, *, initial_best: int = 0, stop_at: int | N
     search's checks every 256 nodes, with at least two usable CPUs and, under
     a node limit, at least _SPLIT_NODES nodes left before the count at which
     the search stops, the work the search still has to do is split across
-    forked processes (_split).
+    the budget's workers, forked at the call's first split (_split).
     """
     if not pool:
         return (0, 0, 0, "complete", 0)
     order = _degeneracy_order(adj, pool)
-    nbr = _relabel(adj, pool, order)
-    n = len(order)
-    full = (1 << n) - 1
-    # Indexed by v = mask.bit_length(), one more than the mask's top vertex.
-    bit = [0] + [1 << v for v in range(n)]
-    anti = [0] + [full ^ nbr[v] ^ bit[v + 1] for v in range(n)]
-    search = (nbr, bit, anti, stop_at, budget)
-    classes, upper = _colour_classes(full, initial_best, bit, anti)
+    search = _search_tuple(_relabel(adj, pool, order), stop_at, budget)
+    full = (1 << len(order)) - 1
+    classes, upper = _colour_classes(full, initial_best, search[1], search[2])
     root = (0, 0, full, classes, classes.pop() if classes else 0, upper)
     split_by = 0  # the last count at which the search may split
     if _usable_cpus() >= 2:
@@ -372,6 +392,18 @@ def _max_clique_masks(adj, pool: int, *, initial_best: int = 0, stop_at: int | N
         split_by = math.inf if stop is None else stop - _SPLIT_NODES
     best, best_mask, nodes, status = _search(search, root, initial_best, 0, 1, split_by=split_by)
     return (best, mask_from_indices(order[i] for i in iter_bits(best_mask)), nodes, status, upper)
+
+
+def _search_tuple(nbr: list[int], stop_at: int | None, budget: _Budget) -> tuple:
+    """(nbr, bit, anti, stop_at, budget), the search of _search over
+    relabelled rows nbr: bit[v] = 1 << (v - 1) and anti[v], the non-neighbour
+    row of vertex v - 1, are indexed by v = mask.bit_length(), one more than
+    the mask's top vertex."""
+    n = len(nbr)
+    full = (1 << n) - 1
+    bit = [0] + [1 << v for v in range(n)]
+    anti = [0] + [full ^ nbr[v] ^ bit[v + 1] for v in range(n)]
+    return (nbr, bit, anti, stop_at, budget)
 
 
 def _colour_classes(pool: int, cut: int, bit: list[int], anti: list[int]) -> tuple[list[int], int]:
@@ -486,9 +518,9 @@ def _pending(nbr: list[int], frames: list[tuple], best: int) -> list[tuple]:
 
 def _split(search, items: list[tuple], best: int, best_mask: int,
            nodes: int) -> tuple[int, int, int, str]:
-    """The items, the work left at count nodes, searched across forked
-    processes (split.split_items) from incumbent best, then merged in order
-    into the result _search would return.
+    """The items, the work left at count nodes, searched across the
+    budget's workers and this process (split.split_items) from incumbent
+    best, then merged in order into the result _search would return.
 
     Let S be the count at which the one-CPU search stops under the node
     limit (_Budget.stop_count), and n0 the count at which it would start an
@@ -503,7 +535,7 @@ def _split(search, items: list[tuple], best: int, best_mask: int,
     from . import split  # loaded only by a search that splits
     nbr, budget = search[0], search[4]
     stop = budget.stop_count()
-    shared = split.split_items(search, items, best, nodes, min(_usable_cpus(), len(items)))
+    shared = split.split_items(search, items, best, nodes, _usable_cpus())
     split_best = best
     for i, item in enumerate(items):
         got = shared.get(i) if best == split_best else None
@@ -657,16 +689,22 @@ def max_independent_set(g: Graph, options: SolveOptions | None = None, automorph
     is searched once by the clique kernel (_mis); with some, the search is
     orbital branching under the group they generate (module orbital). A caller
     that spends one budget over several searches passes it as `budget`
-    instead of options. wall_time covers the whole call.
+    instead of options, and closes it when they are done. wall_time covers
+    the whole call.
     """
     t0 = time.perf_counter()
     check_automorphisms(g, automorphisms)
-    if budget is None:
+    owned = budget is None
+    if owned:
         budget = _Budget(options or SolveOptions())
-    if not automorphisms:
-        return _mis(g, 0, budget, t0)
-    from . import orbital  # loaded only by a solve given automorphisms
-    return orbital.independent_set(g, list(automorphisms), budget, t0)
+    try:
+        if not automorphisms:
+            return _mis(g, 0, budget, t0)
+        from . import orbital  # loaded only by a solve given automorphisms
+        return orbital.independent_set(g, list(automorphisms), budget, t0)
+    finally:
+        if owned:
+            budget.close()
 
 
 def alpha_vertex_transitive(g: Graph, pivot: int,
@@ -683,7 +721,8 @@ def alpha_vertex_transitive(g: Graph, pivot: int,
     """
     if not 0 <= pivot < g.n:
         raise ValueError(f"pivot {pivot} out of range")
-    return _mis(g, 1 << pivot, _Budget(options or SolveOptions()), time.perf_counter())
+    with _Budget(options or SolveOptions()) as budget:
+        return _mis(g, 1 << pivot, budget, time.perf_counter())
 
 
 def clique_lower_bound(g: Graph) -> int:
@@ -793,23 +832,23 @@ def k_colorable(g: Graph, k: int, options: SolveOptions | None = None) -> KColor
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    budget = _Budget(options or SolveOptions())
-    solved = []
-    for sub, copies in _distinct_components(g, g.full_mask):
-        if budget.exceeded():
-            return KColorOutcome("unknown", None, budget.spent)
-        greedy_k, greedy_cols = greedy_coloring_bound(sub)
-        if greedy_k <= k:
-            outcome = KColorOutcome("colorable", greedy_cols, 0)
-        elif k == 1:  # more than one greedy color: sub has an edge
-            outcome = KColorOutcome("uncolorable", None, 0)
-        else:
-            outcome = _k_color(sub, k, budget)
-            budget.spent += outcome.nodes_explored
-        if outcome.status != "colorable":
-            return KColorOutcome(outcome.status, None, budget.spent)
-        solved.append((copies, outcome.coloring))
-    return KColorOutcome("colorable", _stitched_coloring(g, solved, k), budget.spent)
+    with _Budget(options or SolveOptions()) as budget:
+        solved = []
+        for sub, copies in _distinct_components(g, g.full_mask):
+            if budget.exceeded():
+                return KColorOutcome("unknown", None, budget.spent)
+            greedy_k, greedy_cols = greedy_coloring_bound(sub)
+            if greedy_k <= k:
+                outcome = KColorOutcome("colorable", greedy_cols, 0)
+            elif k == 1:  # more than one greedy color: sub has an edge
+                outcome = KColorOutcome("uncolorable", None, 0)
+            else:
+                outcome = _k_color(sub, k, budget)
+                budget.spent += outcome.nodes_explored
+            if outcome.status != "colorable":
+                return KColorOutcome(outcome.status, None, budget.spent)
+            solved.append((copies, outcome.coloring))
+        return KColorOutcome("colorable", _stitched_coloring(g, solved, k), budget.spent)
 
 
 def _k_color(g: Graph, k: int, budget: _Budget) -> KColorOutcome:
@@ -927,14 +966,14 @@ def chromatic_number(g: Graph, options: SolveOptions | None = None) -> ColoringR
     component is solved once and its coloring serves every copy. All the
     searches of one call share one node budget and one deadline.
     """
-    budget = _Budget(options or SolveOptions())
     lower = upper = 0
     solved = []
-    for sub, copies in _distinct_components(g, g.full_mask):
-        sub_lower, sub_upper, sub_coloring = _chi_connected(sub, budget)
-        lower = max(lower, sub_lower)
-        upper = max(upper, sub_upper)
-        solved.append((copies, sub_coloring))
+    with _Budget(options or SolveOptions()) as budget:
+        for sub, copies in _distinct_components(g, g.full_mask):
+            sub_lower, sub_upper, sub_coloring = _chi_connected(sub, budget)
+            lower = max(lower, sub_lower)
+            upper = max(upper, sub_upper)
+            solved.append((copies, sub_coloring))
     coloring = _stitched_coloring(g, solved, upper)
     if lower == upper:
         return ColoringResult(upper, coloring, budget.spent)

@@ -146,8 +146,9 @@ def tiny_state(points, sq, options=None):
 
 def decide(state, x, witnesses=None):
     """(alpha of the state's graph plus x, nodes), by augment's decision."""
-    return _alpha_after_adding(state.graph, state.cloud, state.alpha, x,
-                               _Budget(SolveOptions()), witnesses)[:2]
+    with _Budget(SolveOptions()) as budget:
+        return _alpha_after_adding(state.graph, state.cloud, state.alpha, x,
+                                   budget, witnesses)[:2]
 
 
 class TestAdditionPreservesAlpha:
@@ -299,8 +300,9 @@ class TestAugmentGreedy:
             return real(cloud, x)
 
         monkeypatch.setattr(e8, "_neighbor_mask", counting)
-        assert _alpha_after_adding(state.graph, state.cloud, 16, MISSES_NORM_12_WITNESS,
-                                   _Budget(SolveOptions()), witnesses) == (17, 0, None)
+        with _Budget(SolveOptions()) as budget:
+            assert _alpha_after_adding(state.graph, state.cloud, 16, MISSES_NORM_12_WITNESS,
+                                       budget, witnesses) == (17, 0, None)
         assert scans == []
         assert decide(state, NORM_12_POINT, []) == (17, 21)
         assert scans == [NORM_12_POINT]
@@ -332,7 +334,8 @@ class TestAugmentGreedy:
         candidates = [x for x in ud.enumerate_ball().points if x not in present][:300]
         graph, cloud = state.graph, state.cloud
         for x in candidates:
-            alpha, _, nbr = _alpha_after_adding(graph, cloud, 16, x, _Budget(SolveOptions()))
+            with _Budget(SolveOptions()) as budget:
+                alpha, _, nbr = _alpha_after_adding(graph, cloud, 16, x, budget)
             if alpha == 16:
                 cloud, graph = e8._extend(cloud, graph, x, nbr)
         assert cloud.points[240:] == final.added

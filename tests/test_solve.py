@@ -38,6 +38,13 @@ def complete_graph(n: int) -> ud.Graph:
     return ud.Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def clique_search(adj, pool: int, options: SolveOptions = SolveOptions(), **keywords):
+    """_max_clique_masks under a budget of its own, whose workers, if the
+    search splits, are ended before this returns."""
+    with _Budget(options) as budget:
+        return _max_clique_masks(adj, pool, budget=budget, **keywords)
+
+
 def disjoint_union(graphs, labels) -> ud.Graph:
     """Union of graphs; labels[i][v] is the union's vertex for vertex v of graphs[i]."""
     n = sum(g.n for g in graphs)
@@ -374,9 +381,9 @@ class TestAutomorphisms:
 
     def test_shared_budget_counts_every_search(self, h52):
         g, _ = h52
-        budget = _Budget(SolveOptions())
-        first = ud.max_independent_set(g, budget=budget)
-        second = ud.max_independent_set(g, budget=budget)
+        with _Budget(SolveOptions()) as budget:
+            first = ud.max_independent_set(g, budget=budget)
+            second = ud.max_independent_set(g, budget=budget)
         assert first.nodes_explored == second.nodes_explored > 0
         assert budget.spent == 2 * first.nodes_explored
 
@@ -778,8 +785,7 @@ class TestCliqueLowerBound:
         g, _ = g0_pair
         found = ud.clique_lower_bound(g)
         assert 2 <= found <= 8
-        value, _, _, status, _ = _max_clique_masks(list(g.adj), g.full_mask,
-                                                   budget=_Budget(SolveOptions()))
+        value, _, _, status, _ = clique_search(list(g.adj), g.full_mask)
         assert status == "complete" and value == 8
 
 
@@ -807,8 +813,8 @@ class TestCliqueKernelAgainstRecursiveReference:
                 omega = reference_max_clique(sub_adj, sub.n, options=SolveOptions())[0]
                 for initial_best in sorted({0, max(omega - 1, 0), omega}):
                     for stop_at in (None, omega):
-                        got = _max_clique_masks(list(g.adj), pool, initial_best=initial_best,
-                                                stop_at=stop_at, budget=_Budget(opts))
+                        got = clique_search(list(g.adj), pool, opts, initial_best=initial_best,
+                                            stop_at=stop_at)
                         value, mask, nodes, status, upper = reference_max_clique(
                             sub_adj, sub.n, initial_best=initial_best, stop_at=stop_at,
                             options=opts)
@@ -839,8 +845,7 @@ class TestCliqueKernelAgainstRecursiveReference:
             budgets = [0, 300, 3000] + ([None] if n == 200 else [])
             for node_budget in budgets:
                 opts = SolveOptions(node_budget=node_budget)
-                got = _max_clique_masks(adj, pool, initial_best=initial_best, stop_at=stop_at,
-                                        budget=_Budget(opts))
+                got = clique_search(adj, pool, opts, initial_best=initial_best, stop_at=stop_at)
                 value, mask, nodes, status, upper = reference_max_clique(
                     list(sub.adj), sub.n, initial_best=initial_best, stop_at=stop_at,
                     options=opts)
@@ -881,7 +886,7 @@ class TestCliqueKernelSplitAcrossProcesses(TestCliqueKernelAgainstRecursiveRefer
         real = split.split_items
 
         def counted(*args):
-            splits.append(args[4])
+            splits.append(args[0][4].node_limit)
             return real(*args)
 
         monkeypatch.setattr(split, "split_items", counted)
@@ -902,10 +907,10 @@ def split_cases():
     for n, p in ((150, 0.5), (99, 0.6), (120, 0.7)):
         g = random_graph(rng, n, p)
         adj = list(g.adj)
-        omega = _max_clique_masks(adj, g.full_mask, budget=_Budget(SolveOptions()))[0]
+        omega = clique_search(adj, g.full_mask)[0]
         for initial_best, stop_at in ((0, None), (omega - 1, omega), (omega, None)):
-            nodes = _max_clique_masks(adj, g.full_mask, initial_best=initial_best,
-                                      stop_at=stop_at, budget=_Budget(SolveOptions()))[2]
+            nodes = clique_search(adj, g.full_mask, initial_best=initial_best,
+                                  stop_at=stop_at)[2]
             last = nodes // 256 * 256
             for node_budget in (None, nodes // 4, nodes // 2, nodes * 3 // 4,
                                 max(last - 1, 0), last + 1):
@@ -916,7 +921,8 @@ def split_cases():
 
 
 def run_cases(cases):
-    return [_max_clique_masks(adj, pool, **dict(kw, budget=_Budget(kw["budget"])))
+    return [clique_search(adj, pool, kw["budget"], initial_best=kw.get("initial_best", 0),
+                          stop_at=kw.get("stop_at"))
             for adj, pool, kw in cases]
 
 
@@ -1076,7 +1082,7 @@ class TestSplitRobustness:
         monkeypatch.setattr(split, "_search_share", share)
         adj, pool, _ = cases[-1]
         with pytest.raises(RuntimeError, match="re-check"):
-            _max_clique_masks(adj, pool, budget=_Budget(SolveOptions()))
+            clique_search(adj, pool)
 
     def test_exception_after_fork_kills_and_reaps_workers(self, cases, monkeypatch):
         cases, _ = cases
@@ -1146,6 +1152,154 @@ def test_budgeted_h11_4_pivot_split_gives_the_one_cpu_result(monkeypatch):
     assert len(splits) == 1
     assert (one[0], one[1], one[3]) == (32, 115, 150_016)
     assert ud.check_independent_set(g, one[2])
+
+
+@pytest.fixture(scope="module")
+def walk_setup():
+    """The Gosset graph's augmentation state and the first 80 points of the
+    lex ball, of which the walk tests the first 40 not in the graph."""
+    return ud.initial_state(*ud.build_g0()), ud.enumerate_ball().points[:80]
+
+
+@pytest.fixture
+def forced_split(monkeypatch):
+    """Every clique search that reaches its first check, at 256 nodes,
+    splits across two processes. Returns (forks, splits): the pid of each
+    process this one forks, and the items of each split."""
+    monkeypatch.setattr(solve, "_SPLIT_NODES", 0)
+    monkeypatch.setattr(solve, "_usable_cpus", lambda: 2)
+    forks, splits = [], []
+    real_fork, real_split = os.fork, split.split_items
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def split_items(*args):
+        splits.append(len(args[1]))
+        return real_split(*args)
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(split, "split_items", split_items)
+    return forks, splits
+
+
+def walk(walk_setup, log=None):
+    state, points = walk_setup
+    final = ud.augment_greedy(state, points, max_candidates=40, log=log)
+    return final.added, final.rejected_count, final.candidates_tested, final.nodes_explored
+
+
+def chain(claimed_alpha=16):
+    points = ud.shipped_certificate().points[:4]
+    report = ud.verify_certificate(ud.Certificate(
+        "gosset-240", points, claimed_alpha, ud.ratio_lower_bound(244, claimed_alpha)))
+    return report.alpha, report.chi_lower
+
+
+@pytest.mark.usefixtures("nothing_left_behind")
+class TestKeptWorkers:
+    """A call forks its workers at its first split and keeps them for the
+    rest: one fork per walk or certificate chain, however often it splits,
+    and no process left once the call returns or raises."""
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("call", ["walk", "chain"])
+    def test_one_fork_per_call(self, walk_setup, forced_split, monkeypatch, call, cpus):
+        # One worker per further CPU, forked once; with three processes on
+        # a 2-vCPU machine, more than there are CPUs.
+        forks, splits = forced_split
+        run = (lambda: walk(walk_setup)) if call == "walk" else chain
+        monkeypatch.setattr(solve, "_usable_cpus", lambda: 1)
+        one = run()
+        assert not forks and not splits
+        monkeypatch.setattr(solve, "_usable_cpus", lambda: cpus)
+        assert run() == one
+        assert len(splits) >= 4 and len(forks) == cpus - 1
+        if call == "walk":
+            assert one[2] == 40 and len(one[0]) == 1
+
+    @pytest.mark.parametrize("call", ["walk", "chain"])
+    def test_worker_killed_between_splits(self, walk_setup, forced_split, monkeypatch, call):
+        # After the call's first split, its worker is killed: the later
+        # splits run in the caller alone, with the one-CPU decisions and
+        # node count, and the dead worker is reaped.
+        forks, splits = forced_split
+        run = (lambda: walk(walk_setup)) if call == "walk" else chain
+        monkeypatch.setattr(solve, "_usable_cpus", lambda: 1)
+        one = run()
+        monkeypatch.setattr(solve, "_usable_cpus", lambda: 2)
+        real = split.split_items
+        killed = []
+
+        def split_items(search, *args):
+            out = real(search, *args)
+            if not killed:
+                pid = search[4].workers.procs[0][0]
+                os.kill(pid, signal.SIGKILL)
+                killed.append(pid)
+            return out
+
+        monkeypatch.setattr(split, "split_items", split_items)
+        assert run() == one
+        assert killed == forks and len(splits) >= 4
+
+    def test_caller_cpu_set_unchanged(self, walk_setup, forced_split):
+        allowed = os.sched_getaffinity(0)
+        walk(walk_setup)
+        assert forced_split[0] and os.sched_getaffinity(0) == allowed
+
+    def test_walk_whose_log_raises(self, walk_setup, forced_split):
+        def log(x, accepted, alpha):
+            if len(forced_split[1]) >= 2:
+                raise RuntimeError("log fails")
+
+        with pytest.raises(RuntimeError, match="log fails"):
+            walk(walk_setup, log)
+        assert len(forced_split[0]) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("fails", [False, True])
+    @pytest.mark.parametrize("entry", ["max_independent_set", "alpha_vertex_transitive",
+                                       "chromatic_number", "augment_greedy",
+                                       "verify_certificate"])
+    def test_no_child_after_entry_point(self, walk_setup, slice1045, forced_split,
+                                        monkeypatch, entry, fails):
+        # Each entry point that splits returns, or raises after its first
+        # split, and leaves no child behind.
+        g = random_graph(random.Random(5), 100, 0.3)
+        calls = {
+            "max_independent_set": lambda: ud.max_independent_set(g),
+            "alpha_vertex_transitive": lambda: solve.alpha_vertex_transitive(slice1045[0], 0),
+            "chromatic_number": lambda: ud.chromatic_number(g, SolveOptions(node_budget=3000)),
+            "augment_greedy": lambda: walk(walk_setup),
+            "verify_certificate": chain,
+        }
+        if fails:
+            real = split.split_items
+
+            def split_items(*args):
+                real(*args)
+                raise RuntimeError("fails after a split")
+
+            monkeypatch.setattr(split, "split_items", split_items)
+            with pytest.raises(RuntimeError, match="after a split"):
+                calls[entry]()
+        else:
+            calls[entry]()
+        assert len(forced_split[0]) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_claim_failed_after_splits(self, forced_split):
+        with pytest.raises(ud.CertificateError, match="recomputed alpha 16"):
+            chain(claimed_alpha=17)
+        assert len(forced_split[0]) == 1 and len(forced_split[1]) >= 4
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.usefixtures("nothing_left_behind")
@@ -1219,7 +1373,7 @@ class TestRootColouring:
             for v in reference_degeneracy_order(list(g.adj), pool):
                 degeneracy = max(degeneracy, (g.adj[v] & alive).bit_count())
                 alive ^= 1 << v
-            upper = _max_clique_masks(list(g.adj), pool, budget=_Budget(SolveOptions()))[4]
+            upper = clique_search(list(g.adj), pool)[4]
             assert upper <= degeneracy + 1, (n, pool)
 
 
