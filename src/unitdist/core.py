@@ -13,6 +13,7 @@ anywhere in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 class DuplicatePointError(ValueError):
@@ -239,25 +240,37 @@ def cloud_automorphisms(cloud: PointCloud) -> list[tuple[int, ...]]:
     return perms
 
 
+def permute_rows(rows, sources: list[int], width: int) -> list[int]:
+    """Each row with its bits moved: bit i of an output row is bit sources[i]
+    of the input row, which has at most width bits; bits that sources does
+    not name are dropped.
+
+    A row is written out as width binary digits, the digits that sources
+    names are picked in one itemgetter call, highest output bit first, and
+    read back with one int(..., 2), so no Python loop runs over the bits."""
+    if not sources:
+        return [0] * len(rows)
+    last = width - 1
+    pick = itemgetter(*[last - w for w in reversed(sources)])
+    digits = f"0{width}b"
+    join = "".join  # of one index, itemgetter returns a string, which join keeps
+    return [int(join(pick(format(row, digits))), 2) for row in rows]
+
+
 def check_automorphisms(g: Graph, perms) -> None:
     """Raise ValueError naming the first of perms that is not an automorphism
     of g: p[v] is the image of vertex v, and p passes when it is a bijection
-    of 0..n-1 and adj[p[v]] is the image of adj[v] for every v. Rows are
-    scanned highest bit first: pbit[w + 1] is the bit of p[w]."""
+    of 0..n-1 and adj[p[v]] is the image of adj[v] for every v, the image
+    having bit p[w] for each bit w (permute_rows with the inverse of p)."""
     n = g.n
     adj = g.adj
-    bit = [0] + [1 << w for w in range(n)]
     for i, p in enumerate(perms):
         if sorted(p) != list(range(n)):
             raise ValueError(f"automorphism {i} is not a permutation of the {n} vertices")
-        pbit = [0] + [bit[w + 1] for w in p]
-        for v in range(n):
-            row = adj[v]
-            image = 0
-            while row:
-                w = row.bit_length()
-                row ^= bit[w]
-                image |= pbit[w]
+        inverse = [0] * n
+        for v, w in enumerate(p):
+            inverse[w] = v
+        for v, image in enumerate(permute_rows(adj, inverse, n)):
             if adj[p[v]] != image:
                 raise ValueError(f"automorphism {i} maps the neighbours of vertex {v} "
                                  f"onto vertices that are not the neighbours of {p[v]}")

@@ -15,31 +15,38 @@ and indexes tables by. The clique search, like the k-colorability search,
 keeps an explicit stack, so neither is bounded by the interpreter's
 recursion limit and neither changes it.
 
-Once a clique search has spent _SPLIT_NODES nodes, wherever its depth-first
-search stands, it splits its work across one worker per further usable CPU
-(module split: os.fork, a shared queue, pipes and marshal, loaded only by a
-search that splits). The workers are forked at the first split of the call,
-kept for its later splits, each of which sends them its work through their
-pipes, and ended when the call returns or raises (_Budget.close), so a
-call forks once however often it splits. The work the search still has to
-do becomes a list of items: the current node's children not yet searched,
-then each parent's, deepest first, down to the root's, in the order the
-one-CPU search would take them.
-The items wait in the queue in that order, and every process, the caller
-included, takes the next one whenever it has finished one, each searched
-from the incumbent of the split, so no incumbent is shared while they run,
-and each worker runs on a CPU other than its caller's. The results are
-merged in item order, and an item whose result the one-CPU search would not
-have produced is searched again in the calling process: the returned value,
-witness, node count and status are the one-CPU search's, unless a deadline
-stops it. The queue also sums the nodes of the items finished, so that
-under a node limit each process starts an item's count at or below the
-one-CPU search's count there and stops no earlier than it inside the item,
-and its own budget check stops it within 256 nodes in an item it starts
-past the stop; the merge then knows each item's true start and takes the
-one-CPU stop from the item in which it falls. A search splits under a limit
-only while at least _SPLIT_NODES nodes are left before it stops. Nothing is
-forked on one CPU, or while a second thread runs.
+Once a clique search or a k-colorability search has spent _SPLIT_NODES
+nodes, wherever its depth-first search stands, it splits its work across one
+worker per further usable CPU (module split: os.fork, a shared queue, pipes
+and marshal, loaded only by a search that splits). The workers are forked at
+the first split of the call, kept for its later splits, each of which sends
+them its work through their pipes, and ended when the call returns or raises
+(_Budget.close), so a call forks once however often it splits. The work the
+search still has to do becomes a list of items, in the order the one-CPU
+search would take them: for the clique search the current node's children
+not yet searched, then each parent's, deepest first, down to the root's; for
+the coloring search the colors not yet tried at each frame of its stack,
+deepest first, each carried as the path of (vertex, color) choices that a
+worker replays. The items wait in the queue in that order, and every
+process, the caller included, takes the next one whenever it has finished
+one, each searched from the incumbent of the split, so no incumbent is
+shared while they run, and each worker runs on a CPU other than its
+caller's. The results are merged in item order, and an item whose result the
+one-CPU search would not have produced is searched again in the calling
+process: the returned value, witness or coloring, node count and status are
+the one-CPU search's, unless a deadline stops it. A coloring plays the
+clique search's target: the first item in order that finds one wins, and a
+worker's coloring, like its cliques, is re-checked before it is taken.
+Under a node limit each process starts an item's count at or below the
+one-CPU search's count there, and at each check raises it by the nodes,
+finished or running, of the items before it, so it stops no earlier than
+the one-CPU search inside the item, and no more than 256 nodes later once
+those items are done; the merge then knows each item's true start and takes
+the one-CPU stop from the item in which it falls. Once an item ends the
+split, the processes that hold later items stop at their next check. A
+search splits under a limit only while at least _SPLIT_NODES nodes are left
+before it stops. Nothing is forked on one CPU, or while a second thread
+runs.
 (McCreesh and Prosser, Algorithms 2013, also split below the root and hand
 out work as it is asked for, with a shared incumbent that makes node counts
 depend on timing.)
@@ -109,6 +116,7 @@ from .core import (
     connected_components,
     iter_bits,
     mask_from_indices,
+    permute_rows,
     ratio_lower_bound,
 )
 
@@ -219,14 +227,15 @@ def check_coloring(g: Graph, coloring: tuple[int, ...], k: int | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-# A clique search splits the work it still has to do across processes once
-# it has spent this many nodes, and, under a node limit, only while at least
-# this many are left before it stops. A call's first split of two empty
-# items, the fork and, at the call's end, the reap, took 3.0, 4.9 and 10.8 ms
-# at 17, 54 and 115 MB resident, and each later split of the call, which
-# sends its workers a job, 0.06-0.08 ms (medians of 30 and 120; 2-vCPU VM,
-# Python 3.11). So a call pays for its fork once, and a search that ends soon
-# after this many nodes costs its call little more than that fork.
+# A clique search or a k-colorability search splits the work it still has
+# to do across processes once it has spent this many nodes, and, under a node
+# limit, only while at least this many are left before it stops. A call's
+# first split of two empty items, the fork and, at the call's end, the reap,
+# took 3.0, 4.9 and 10.8 ms at 17, 54 and 115 MB resident, and each later
+# split of the call, which sends its workers a job, 0.06-0.08 ms (medians of
+# 30 and 120; 2-vCPU VM, Python 3.11). So a call pays for its fork once, and
+# a search that ends soon after this many nodes costs its call little more
+# than that fork.
 _SPLIT_NODES = 1 << 10
 
 
@@ -325,25 +334,9 @@ def _degeneracy_order(adj: list[int] | tuple[int, ...], pool: int) -> list[int]:
 
 def _relabel(adj, pool: int, order: list[int]) -> list[int]:
     """The rows of the pool's vertices, restricted to pool, with vertex
-    order[i] renamed i; order lists every vertex of pool.
-
-    Rows are scanned highest bit first: w = row.bit_length() is one more than
-    the top vertex, and indexes both its bit and its new bit."""
-    bit = [0] * (len(adj) + 1)
-    posbit = [0] * (len(adj) + 1)
-    for i, v in enumerate(order):
-        bit[v + 1] = 1 << v
-        posbit[v + 1] = 1 << i
-    out = []
-    for v in order:
-        row = adj[v] & pool
-        new_row = 0
-        while row:
-            w = row.bit_length()
-            row ^= bit[w]
-            new_row |= posbit[w]
-        out.append(new_row)
-    return out
+    order[i] renamed i; order lists every vertex of pool, and every row of
+    adj has at most len(adj) bits (core.permute_rows)."""
+    return permute_rows([adj[v] for v in order], order, len(adj))
 
 
 def _max_clique_masks(adj, pool: int, *, initial_best: int = 0, stop_at: int | None = None,
@@ -386,24 +379,31 @@ def _max_clique_masks(adj, pool: int, *, initial_best: int = 0, stop_at: int | N
     full = (1 << len(order)) - 1
     classes, upper = _colour_classes(full, initial_best, search[1], search[2])
     root = (0, 0, full, classes, classes.pop() if classes else 0, upper)
-    split_by = 0  # the last count at which the search may split
-    if _usable_cpus() >= 2:
-        stop = budget.stop_count()
-        split_by = math.inf if stop is None else stop - _SPLIT_NODES
-    best, best_mask, nodes, status = _search(search, root, initial_best, 0, 1, split_by=split_by)
+    best, best_mask, nodes, status = _search(search, root, initial_best, 0, 1,
+                                             split_by=_split_by(budget))
     return (best, mask_from_indices(order[i] for i in iter_bits(best_mask)), nodes, status, upper)
 
 
+def _split_by(budget: _Budget) -> float:
+    """The last count at which a search may split: 0 (never) with fewer than
+    two usable CPUs, and under a node limit _SPLIT_NODES before the count at
+    which the search stops."""
+    if _usable_cpus() < 2:
+        return 0
+    stop = budget.stop_count()
+    return math.inf if stop is None else stop - _SPLIT_NODES
+
+
 def _search_tuple(nbr: list[int], stop_at: int | None, budget: _Budget) -> tuple:
-    """(nbr, bit, anti, stop_at, budget), the search of _search over
-    relabelled rows nbr: bit[v] = 1 << (v - 1) and anti[v], the non-neighbour
-    row of vertex v - 1, are indexed by v = mask.bit_length(), one more than
-    the mask's top vertex."""
+    """(nbr, bit, anti, stop_at, budget, "clique"), the search of _search
+    over relabelled rows nbr: bit[v] = 1 << (v - 1) and anti[v], the
+    non-neighbour row of vertex v - 1, are indexed by v = mask.bit_length(),
+    one more than the mask's top vertex."""
     n = len(nbr)
     full = (1 << n) - 1
     bit = [0] + [1 << v for v in range(n)]
     anti = [0] + [full ^ nbr[v] ^ bit[v + 1] for v in range(n)]
-    return (nbr, bit, anti, stop_at, budget)
+    return (nbr, bit, anti, stop_at, budget, "clique")
 
 
 def _colour_classes(pool: int, cut: int, bit: list[int], anti: list[int]) -> tuple[list[int], int]:
@@ -437,7 +437,8 @@ def _search(search, frame: tuple, best: int, best_mask: int, nodes: int,
     """The clique search below one colored node: its children not yet
     searched, and their subtrees.
 
-    search is (nbr, bit, anti, stop_at, budget) of the call. frame is the
+    search is (nbr, bit, anti, stop_at, budget, "clique") of the call
+    (_search_tuple). frame is the
     node's (clique size, clique mask, pool, classes not yet branched on,
     current class, its color); the pool holds the candidates not yet
     branched on. nodes is the call's running node count, which the budget is
@@ -449,7 +450,7 @@ def _search(search, frame: tuple, best: int, best_mask: int, nodes: int,
     of parent frames, so its depth is not bounded by the interpreter's
     recursion limit.
     """
-    nbr, bit, anti, stop_at, budget = search
+    nbr, bit, anti, stop_at, budget, _ = search
     r_size, r_mask, pool, classes, cls, color = frame
     stack: list[tuple] = []
     while True:
@@ -516,11 +517,12 @@ def _pending(nbr: list[int], frames: list[tuple], best: int) -> list[tuple]:
     return items
 
 
-def _split(search, items: list[tuple], best: int, best_mask: int,
-           nodes: int) -> tuple[int, int, int, str]:
+def _split(search, items: list, best: int, best_mask, nodes: int) -> tuple[int, object, int, str]:
     """The items, the work left at count nodes, searched across the
     budget's workers and this process (split.split_items) from incumbent
-    best, then merged in order into the result _search would return.
+    best, then merged in order into the result the one-CPU search would
+    return; search is a clique search (_search) or a coloring search
+    (_color_search), and best_mask its witness.
 
     Let S be the count at which the one-CPU search stops under the node
     limit (_Budget.stop_count), and n0 the count at which it would start an
@@ -530,11 +532,10 @@ def _split(search, items: list[tuple], best: int, best_mask: int,
     one-CPU stop: status "budget", nodes S, and the last improvement below
     S - n0 nodes into the item. Any other item is searched here; an item that
     best cuts, or whose pool is empty, costs no node there. A worker's
-    cliques are re-checked before they are taken.
+    cliques and colorings are re-checked before they are taken.
     """
     from . import split  # loaded only by a search that splits
-    nbr, budget = search[0], search[4]
-    stop = budget.stop_count()
+    stop = search[4].stop_count()
     shared = split.split_items(search, items, best, nodes, _usable_cpus())
     split_best = best
     for i, item in enumerate(items):
@@ -549,15 +550,37 @@ def _split(search, items: list[tuple], best: int, best_mask: int,
             else:
                 got = None
         if got is None:
-            best, best_mask, nodes, status = _search(search, item, best, best_mask, nodes)
+            best, best_mask, nodes, status = _search_item(search, item, best, best_mask, nodes)
         elif trail:
-            _, value, mask = trail[-1]
-            if not _is_clique(nbr, mask, value):
-                raise RuntimeError("a clique from a split search failed its re-check")
-            best, best_mask = value, mask
+            _, value, witness = trail[-1]
+            if not _witness_holds(search, value, witness):
+                raise RuntimeError(f"a {search[5]} from a split search failed its re-check")
+            best, best_mask = value, witness
         if status != "complete":
             return (best, best_mask, nodes, status)
     return (best, best_mask, nodes, "complete")
+
+
+def _search_item(search, item, best: int, best_mask, nodes: int, trail: list | None = None):
+    """One item of a split, searched by the function of the search's kind,
+    search[5]: _search for "clique", _color_search for "coloring"."""
+    run = _search if search[5] == "clique" else _color_search
+    return run(search, item, best, best_mask, nodes, trail)
+
+
+def _new_search(kind: str, rows, arg, budget: _Budget) -> tuple:
+    """The search tuple of kind over rows, arg being search[3]: stop_at of a
+    clique search (_search_tuple), k of a coloring search (_color_tuple)."""
+    return (_search_tuple if kind == "clique" else _color_tuple)(rows, arg, budget)
+
+
+def _witness_holds(search, value: int, witness) -> bool:
+    """Whether a split's witness holds in the search's rows: a clique of
+    size value, or a proper coloring with colors 1..k."""
+    rows = search[0]
+    if search[5] == "clique":
+        return _is_clique(rows, witness, value)
+    return check_coloring(Graph._trusted(len(rows), tuple(rows)), witness, search[3])
 
 
 def _usable_cpus() -> int:
@@ -861,35 +884,79 @@ def _k_color(g: Graph, k: int, budget: _Budget) -> KColorOutcome:
     adj[v] & uncolored & ~forb[c] by one. A node is dead when that would push
     a vertex to k forbidden colors. Color symmetry is broken by allowing at
     most one fresh color per vertex, so the first occurrence of each new color
-    is forced. The search keeps an explicit stack, so its depth is not bounded
-    by the interpreter's recursion limit.
+    is forced.
+
+    The root, one node, selects the first vertex, whose only color is the
+    first; the rest is one depth-first search below that choice,
+    _color_search, which splits its work across the budget's workers as the
+    clique search does (_split).
     """
-    n = g.n
-    adj = g.adj
-    levels = _degree_levels(adj, n)
-    colors = [0] * n
+    search = _color_tuple(g.adj, k, budget)
+    bucket = [0] * k
+    bucket[0] = g.full_mask
+    v, _ = _dsatur_select(bucket, search[1])
+    _, coloring, nodes, status = _color_search(search, ((v, 0),), 0, None, 1,
+                                               split_by=_split_by(budget))
+    if status == "target":
+        return KColorOutcome("colorable", coloring, nodes)
+    return KColorOutcome("uncolorable" if status == "complete" else "unknown", None, nodes)
+
+
+def _color_tuple(adj, k: int, budget: _Budget) -> tuple:
+    """(adj, levels, full, k, budget, "coloring"), the search of
+    _color_search over rows adj: levels are the degree masks of
+    _degree_levels, full the mask of every vertex."""
+    n = len(adj)
+    return (adj, _degree_levels(adj, n), (1 << n) - 1, k, budget, "coloring")
+
+
+def _color_search(search, path: tuple, best: int, coloring, nodes: int,
+                  trail: list | None = None, split_by: float = 0) -> tuple[int, object, int, str]:
+    """The coloring search below one choice: path is the (vertex, color)
+    choices from the root, each 0-based, and the search tries the last
+    choice, with no other color for its vertex, and then the subtree below.
+
+    search is (adj, levels, full, k, budget, "coloring") of the call
+    (_color_tuple). The choices before the last are replayed, in the
+    order the search made them, so the state below them is the one the
+    search had there. nodes is the call's running node count, one per
+    vertex colored, which the budget is checked against every 256 nodes. At
+    a check with _SPLIT_NODES <= nodes <= split_by, the work left is split
+    (_split), and its result is returned. Returns (best, coloring, nodes,
+    status), best passed through unchanged for the split's merge, with
+    status "target" and the coloring (colors 1..k; also appended to trail,
+    if given, as (nodes, best, coloring)) when one is found, "complete"
+    when none exists below the choice, and "budget" when the budget stops
+    the search. The search keeps an explicit stack, so its depth is not
+    bounded by the interpreter's recursion limit.
+    """
+    adj, levels, full, k, budget, _ = search
+    top = k - 1
+    colors = [0] * len(adj)
     forb = [0] * k
     # Saturations 0..k-1 only: a vertex reaching k would make the node dead.
     bucket = [0] * k
-    bucket[0] = uncolored = g.full_mask
-    top = k - 1
+    bucket[0] = uncolored = full
     max_used = 0
-    nodes = 0
-    # One frame per colored vertex: [vertex, color tried, color limit,
-    # max_used on entry, buckets before its coloring, vertices it saturated].
-    stack: list[list] = []
-
-    while True:
-        nodes += 1
-        if nodes & 255 == 0 and budget.exceeded(nodes):
-            return KColorOutcome("unknown", None, nodes)
-        if not uncolored:
-            return KColorOutcome("colorable", tuple(colors), nodes)
-        v, s = _dsatur_select(bucket, levels)
+    last = len(path) - 1
+    for i, (v, c) in enumerate(path):
+        s = 0
+        while not (bucket[s] >> v) & 1:
+            s += 1
         bucket[s] ^= 1 << v
         uncolored ^= 1 << v
-        stack.append([v, -1, min(max_used + 1, k), max_used, bucket, 0])
+        if i == last:
+            break
+        newly = adj[v] & uncolored & ~forb[c]
+        forb[c] |= newly
+        colors[v] = c + 1
+        _raise_saturation(bucket, newly)
+        max_used = max(max_used, c + 1)
+    # One frame per colored vertex: [vertex, color tried, color limit,
+    # max_used on entry, buckets before its coloring, vertices it saturated].
+    stack: list[list] = [[v, c - 1, c + 1, max_used, bucket, 0]]
 
+    while True:
         # Give the top frame its next live color, backtracking while none is left.
         while stack:
             frame = stack[-1]
@@ -917,7 +984,54 @@ def _k_color(g: Graph, k: int, budget: _Budget) -> KColorOutcome:
             stack.pop()
             uncolored |= 1 << v
         else:
-            return KColorOutcome("uncolorable", None, nodes)
+            return (best, coloring, nodes, "complete")
+
+        nodes += 1
+        if nodes & 255 == 0 and budget.exceeded(nodes):
+            return (best, coloring, nodes, "budget")
+        if not uncolored:
+            coloring = tuple(colors)
+            if trail is not None:
+                trail.append((nodes, best, coloring))
+            return (best, coloring, nodes, "target")
+        v, s = _dsatur_select(bucket, levels)
+        bucket[s] ^= 1 << v
+        uncolored ^= 1 << v
+        stack.append([v, -1, min(max_used + 1, k), max_used, bucket, 0])
+        if nodes & 255 == 0 and _SPLIT_NODES <= nodes <= split_by:
+            items = _color_pending(adj, top, path[:-1], stack, forb, uncolored)
+            if len(items) >= 2:
+                return _split(search, items, best, coloring, nodes)
+
+
+def _color_pending(adj, top: int, path: tuple, stack: list[list], forb: list[int],
+                   uncolored: int) -> list[tuple]:
+    """The colors not yet tried of each frame of stack, the frames on top of
+    the choices path, deepest frame first, each frame's in the order the
+    search tries them; only the live ones, those that the search would
+    count a node for.
+
+    Each is an item: the path of (vertex, color) choices from the root down
+    to it, for _color_search. Walking down the stack, each frame's own color
+    is taken back out of forb, and its vertex put back among the uncolored,
+    so each frame's colors are tested against the state the search tests
+    them in.
+    """
+    forb = forb[:]
+    chosen = [*path, *((frame[0], frame[1]) for frame in stack)]
+    items = []
+    for depth in range(len(stack) - 1, -1, -1):
+        v, c, limit, _, base, newly = stack[depth]
+        if c >= 0:
+            forb[c] ^= newly
+        row = adj[v] & uncolored
+        above = tuple(chosen[:len(path) + depth])
+        for c in range(c + 1, limit):
+            fc = forb[c]
+            if not (fc >> v) & 1 and not base[top] & row & ~fc:
+                items.append((*above, (v, c)))
+        uncolored |= 1 << v
+    return items
 
 
 def _chi_connected(g: Graph, budget: _Budget) -> tuple[int, int, tuple[int, ...]]:

@@ -9,12 +9,13 @@ reference_max_clique keeps the recursive clique kernel that the package's
 explicit-stack kernel replaced, as a differential oracle for its node counts,
 witnesses, statuses and bounds. reference_degeneracy_order keeps the full
 scan for the minimum-degree vertex that the package's degree buckets
-replaced.
+replaced. reference_relabel and reference_check_automorphisms keep the
+per-bit loops over each row that core.permute_rows replaced.
 """
 import sys
 
 import unitdist as ud
-from unitdist.solve import _Budget, _relabel
+from unitdist.solve import _Budget
 
 
 def brute_alpha(g: ud.Graph) -> int:
@@ -164,7 +165,7 @@ def reference_max_clique(adj, n: int, *, initial_best: int = 0, stop_at: int | N
     # branch depth is bounded by the clique size, which can reach n
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * n + 200))
     order = reference_degeneracy_order(adj, (1 << n) - 1)
-    nbr = _relabel(adj, (1 << n) - 1, order)
+    nbr = reference_relabel(adj, (1 << n) - 1, order)
     budget = _Budget(options)
     order_bufs: list[list[int]] = []
     color_bufs: list[list[int]] = []
@@ -228,3 +229,45 @@ def reference_max_clique(adj, n: int, *, initial_best: int = 0, stop_at: int | N
         rest ^= low
         mask |= 1 << order[low.bit_length() - 1]
     return (best, mask, nodes, status, upper)
+
+
+def reference_relabel(adj, pool: int, order: list[int]) -> list[int]:
+    """The rows of the pool's vertices, restricted to pool, with vertex
+    order[i] renamed i, one bit at a time, highest bit first."""
+    bit = [0] * (len(adj) + 1)
+    posbit = [0] * (len(adj) + 1)
+    for i, v in enumerate(order):
+        bit[v + 1] = 1 << v
+        posbit[v + 1] = 1 << i
+    out = []
+    for v in order:
+        row = adj[v] & pool
+        new_row = 0
+        while row:
+            w = row.bit_length()
+            row ^= bit[w]
+            new_row |= posbit[w]
+        out.append(new_row)
+    return out
+
+
+def reference_check_automorphisms(g: ud.Graph, perms) -> None:
+    """core.check_automorphisms with each row's image built one bit at a
+    time: the same ValueErrors for the same permutations and vertices."""
+    n = g.n
+    adj = g.adj
+    bit = [0] + [1 << w for w in range(n)]
+    for i, p in enumerate(perms):
+        if sorted(p) != list(range(n)):
+            raise ValueError(f"automorphism {i} is not a permutation of the {n} vertices")
+        pbit = [0] + [bit[w + 1] for w in p]
+        for v in range(n):
+            row = adj[v]
+            image = 0
+            while row:
+                w = row.bit_length()
+                row ^= bit[w]
+                image |= pbit[w]
+            if adj[p[v]] != image:
+                raise ValueError(f"automorphism {i} maps the neighbours of vertex {v} "
+                                 f"onto vertices that are not the neighbours of {p[v]}")

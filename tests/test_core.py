@@ -4,9 +4,10 @@ import pytest
 
 import unitdist as ud
 from unitdist import e8
-from unitdist.core import DuplicatePointError, sq_dist
+from unitdist.core import DuplicatePointError, check_automorphisms, permute_rows, sq_dist
 
 from conftest import random_graph
+from oracles import reference_check_automorphisms
 
 
 def bfs_components_oracle(g: ud.Graph) -> list[set[int]]:
@@ -269,3 +270,53 @@ class TestBoundReport:
     def test_inconsistent_ratio_rejected(self):
         with pytest.raises(ValueError):
             ud.BoundReport("g", 289, alpha=16, chi_lower=18)
+
+
+def check_outcome(check, g, perms):
+    """The message of the ValueError that check raises, or None."""
+    try:
+        check(g, perms)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestPermuteRows:
+    def test_moves_each_bit(self):
+        rng = random.Random(808)
+        for width in (0, 1, 2, 63, 64, 65, 300):
+            rows = [rng.getrandbits(width) for _ in range(5)]
+            sources = rng.sample(range(width), rng.randrange(width + 1))
+            expected = [sum(1 << i for i, w in enumerate(sources) if row >> w & 1)
+                        for row in rows]
+            assert permute_rows(rows, sources, width) == expected, width
+
+    def test_check_automorphisms_matches_per_bit_loop(self):
+        # Automorphisms from the coordinates, the same moved by one
+        # transposition (mostly not automorphisms), random permutations and
+        # non-bijections: the same pass, or the same ValueError, as the loop.
+        rng = random.Random(909)
+        outcomes = set()
+        for d, u in ((5, 2), (6, 4), (7, 2), (8, 6)):
+            g, cloud = ud.hamming_graph(d, u)
+            perms = ud.cloud_automorphisms(cloud)
+            n = g.n
+            trials = [perms]
+            for p in perms:
+                i, j = rng.sample(range(n), 2)
+                q = list(p)
+                q[i], q[j] = q[j], q[i]
+                trials.append([p, tuple(q)])
+            trials.append([tuple(rng.sample(range(n), n))])
+            trials.append([perms[0], tuple(perms[0][:-1]) + (perms[0][0],)])
+            trials.append([tuple(range(n - 1))])
+            for trial in trials:
+                got = check_outcome(check_automorphisms, g, trial)
+                assert got == check_outcome(reference_check_automorphisms, g, trial)
+                outcomes.add(got is None)
+        for _ in range(30):
+            g = random_graph(rng, rng.randrange(1, 80), rng.choice([0.1, 0.5, 0.9]))
+            trial = [tuple(rng.sample(range(g.n), g.n)) for _ in range(2)]
+            assert (check_outcome(check_automorphisms, g, trial)
+                    == check_outcome(reference_check_automorphisms, g, trial))
+        assert outcomes == {True, False}

@@ -31,6 +31,7 @@ from oracles import (
     reference_degeneracy_order,
     reference_dsatur,
     reference_max_clique,
+    reference_relabel,
 )
 
 
@@ -1126,18 +1127,186 @@ class TestSplitRobustness:
         assert not thread.is_alive()
 
 
+def mycielskian(g: ud.Graph) -> ud.Graph:
+    """Mycielski's construction: triangle-free when g is, chi one higher."""
+    n = g.n
+    edges = list(g.edges())
+    edges += [e for i, j in g.edges() for e in ((i, n + j), (j, n + i))]
+    return ud.Graph.from_edges(2 * n + 1, edges + [(n + i, 2 * n) for i in range(n)])
+
+
+def queen_graph(m: int) -> ud.Graph:
+    """The squares of an m x m board, adjacent when a queen moves between them."""
+    cells = [(r, c) for r in range(m) for c in range(m)]
+    return ud.Graph.from_edges(m * m, [
+        (i, j) for i in range(len(cells)) for j in range(i + 1, len(cells))
+        if cells[i][0] == cells[j][0] or cells[i][1] == cells[j][1]
+        or abs(cells[i][0] - cells[j][0]) == abs(cells[i][1] - cells[j][1])])
+
+
+def seeded_graph(seed: int) -> ud.Graph:
+    rng = random.Random(seed)
+    n = rng.randrange(26, 40)
+    return random_graph(rng, n, rng.choice([0.5, 0.6, 0.7, 0.8]))
+
+
+@pytest.fixture(scope="module")
+def coloring_cases():
+    """k-colorability searches of 757 to 3,637 nodes, and the chromatic
+    numbers of their graphs, each answer checked by the brute-force oracle,
+    each also under node limits that stop it a quarter, half and three
+    quarters of the way, and one node either side of every multiple of 256
+    it reaches: (call, its one-CPU result) for each."""
+    m5 = mycielskian(mycielskian(ud.Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])))
+    graphs = {"M5": (m5, 4, "uncolorable"), "queen6": (queen_graph(6), 7, "colorable"),
+              "seed361": (seeded_graph(361), 9, "uncolorable"),
+              "seed92": (seeded_graph(92), 10, "colorable")}
+    cases = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solve, "_usable_cpus", lambda: 1)
+        for name, (g, k, status) in graphs.items():
+            decided = ud.k_colorable(g, k)
+            assert decided.status == status
+            assert (status == "colorable") == brute_k_colorable(g, k), name
+            chi = ud.chromatic_number(g)
+            assert chi.chi == brute_chi(g), name
+            for call, nodes in ((lambda o, g=g, k=k: ud.k_colorable(g, k, o),
+                                 decided.nodes_explored),
+                                (lambda o, g=g: ud.chromatic_number(g, o), chi.nodes_explored)):
+                limits = {None, nodes // 4, nodes // 2, nodes * 3 // 4}
+                limits.update(m * 256 + d for m in range(1, nodes // 256 + 1) for d in (-1, 1))
+                for limit in sorted(limits, key=lambda x: -1 if x is None else x):
+                    run = (lambda c=call, o=SolveOptions(node_budget=limit): c(o))
+                    cases.append((f"{name} {limit}", run, run()))
+    return cases
+
+
+@pytest.mark.usefixtures("nothing_left_behind")
+class TestColoringSplit:
+    """The k-colorability search splits the work it still has to do as the
+    clique search does: with the split forced at its first check, at 256
+    nodes, every k_colorable and chromatic_number result, budget stops
+    included, is the one-CPU one, whatever happens to a worker."""
+
+    @pytest.fixture
+    def forced(self, monkeypatch):
+        """Splits forced at 256 nodes; returns the (kind, node limit) of each
+        split of a coloring search."""
+        monkeypatch.setattr(solve, "_SPLIT_NODES", 0)
+        splits = []
+        real = split.split_items
+
+        def counted(*args):
+            if args[0][5] == "coloring":
+                splits.append(args[0][4].node_limit)
+            return real(*args)
+
+        monkeypatch.setattr(split, "split_items", counted)
+        return splits
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_split_gives_the_one_cpu_result(self, coloring_cases, forced, monkeypatch, cpus):
+        monkeypatch.setattr(solve, "_usable_cpus", lambda: cpus)
+        for name, run, expected in coloring_cases:
+            assert run() == expected, name
+        assert len(forced) >= 150
+        assert sum(limit is not None for limit in forced) >= 140
+
+    def test_worker_killed_mid_split(self, coloring_cases, forced, monkeypatch):
+        # Each worker dies at its first budget check inside an item, which
+        # it has then searched for 256 nodes or fewer.
+        monkeypatch.setattr(solve, "_usable_cpus", lambda: 2)
+        caller = os.getpid()
+        real = split._ItemBudget.exceeded
+
+        def exceeded(budget, count):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(budget, count)
+
+        monkeypatch.setattr(split._ItemBudget, "exceeded", exceeded)
+        for name, run, expected in coloring_cases[::3]:
+            assert run() == expected, name
+        assert forced
+
+    def test_worker_coloring_is_rechecked(self, forced, monkeypatch):
+        # Every coloring a split reports gives vertex 0 the color of a
+        # neighbour.
+        monkeypatch.setattr(solve, "_usable_cpus", lambda: 2)
+        g = queen_graph(6)
+        real = split._search_share
+
+        def share(*args):
+            return [(i, count, status,
+                     [(at, value, (coloring[1],) + coloring[1:]) for at, value, coloring in trail])
+                    for i, count, status, trail in real(*args)]
+
+        monkeypatch.setattr(split, "_search_share", share)
+        with pytest.raises(RuntimeError, match="a coloring from a split search failed"):
+            ud.k_colorable(g, 7)
+        assert forced
+
+    @pytest.mark.parametrize("entry", ["k_colorable", "chromatic_number"])
+    def test_no_child_after_a_raise(self, forced, monkeypatch, entry):
+        monkeypatch.setattr(solve, "_usable_cpus", lambda: 2)
+        g = queen_graph(6)
+        real = split.split_items
+
+        def split_items(*args):
+            out = real(*args)
+            if args[0][5] == "coloring":
+                raise RuntimeError("fails after a coloring split")
+            return out
+
+        monkeypatch.setattr(split, "split_items", split_items)
+        with pytest.raises(RuntimeError, match="after a coloring split"):
+            ud.k_colorable(g, 7) if entry == "k_colorable" else ud.chromatic_number(g)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_items_after_the_end_stop_at_their_first_check(self):
+        # This process holds item 1, a search of 757 nodes, while item 0,
+        # held by another slot, ends the split: the search stops at its
+        # first check and returns nothing.
+        m5 = mycielskian(mycielskian(ud.Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])))
+        reports = []
+
+        class Queue(split._Queue):
+            def report(self, count):
+                if not reports:
+                    self.slot = 1
+                    self.clear(0)
+                    self.slot = 0
+                reports.append(count)
+                return super().report(count)
+
+        with _Budget(SolveOptions()) as budget:
+            search = solve._color_tuple(m5.adj, 4, budget)
+            root = ((solve._dsatur_select([m5.full_mask, 0, 0, 0], search[1])[0], 0),)
+            assert solve._color_search(search, root, 0, None, 1)[2:] == (757, "complete")
+            with Queue(2, 2) as queue:
+                queue.slot = 1
+                assert queue.take() == (0, 0)
+                queue.slot = 0
+                assert split._search_share(search, [(), root], queue, 0, 1) == []
+        assert len(reports) == 1 and reports[0] <= 256
+
+
 @pytest.mark.usefixtures("nothing_left_behind")
 def test_budgeted_h11_4_pivot_split_gives_the_one_cpu_result(monkeypatch):
     # The benchmark's H(11,4) search stops at 150,016 nodes inside its
     # first root branch; split on two CPUs at 1,024 nodes, it still returns
-    # the one-CPU bracket, witness and node count.
+    # the one-CPU bracket, witness and node count. The item in which the
+    # stop falls runs no more than 256 nodes past it: its process's start
+    # bound counts the nodes of the items before it, running ones too.
     g, _ = ud.half_cube(11, 4)
     splits = []
     real = split.split_items
 
-    def split_items(*args):
-        splits.append(len(args[1]))
-        return real(*args)
+    def split_items(search, items, best, nodes, processes):
+        out = real(search, items, best, nodes, processes)
+        splits.append((search[4].stop_count(), nodes, len(items), out))
+        return out
 
     monkeypatch.setattr(split, "split_items", split_items)
 
@@ -1152,6 +1321,13 @@ def test_budgeted_h11_4_pivot_split_gives_the_one_cpu_result(monkeypatch):
     assert len(splits) == 1
     assert (one[0], one[1], one[3]) == (32, 115, 150_016)
     assert ud.check_independent_set(g, one[2])
+    stop, start, size, out = splits[0]
+    for i in range(size):
+        count = out[i][0]
+        if start + count >= stop:
+            break
+        start += count
+    assert out[i][1] == "budget" and 0 <= count - (stop - start) <= 256
 
 
 @pytest.fixture(scope="module")
@@ -1336,7 +1512,7 @@ class TestQueue:
     def test_clear_leaves_nothing_to_take(self):
         with split._Queue(3) as queue:
             assert queue.take() == (0, 0)
-            queue.clear()
+            queue.clear(0)
             assert queue.take() is None
             assert queue.take() is None
 
@@ -1351,6 +1527,31 @@ class TestQueue:
             assert queue.take(10**12) == (0, 10**12)
             assert queue.take(1) == (1, 10**12 + 1)
             assert queue.take() is None
+
+    def test_start_bound_counts_items_in_flight(self):
+        # Three slots in one process: each report returns the nodes of the
+        # positions before the slot's own, finished or running, and whether
+        # one of them ended the split.
+        with split._Queue(4, 3) as queue:
+            def as_slot(slot, method, *args):
+                queue.slot = slot
+                return getattr(queue, method)(*args)
+
+            assert as_slot(1, "take") == (0, 0)
+            assert as_slot(2, "take") == (1, 0)
+            assert as_slot(0, "take") == (2, 0)
+            assert as_slot(1, "report", 500) == (0, False)
+            assert as_slot(2, "report", 40) == (500, False)
+            assert as_slot(0, "report", 7) == (540, False)
+            assert as_slot(2, "take", 90) == (3, 90)  # position 1 finished in 90
+            assert as_slot(0, "report", 8) == (590, False)
+            assert as_slot(2, "report", 3) == (598, False)
+            assert as_slot(1, "take", 600) is None  # position 0 finished in 600
+            assert as_slot(0, "report", 9) == (690, False)
+            assert as_slot(2, "report", 4) == (699, False)
+            as_slot(0, "clear", 2)
+            assert as_slot(2, "report", 5) == (699, True)
+            assert as_slot(0, "report", 10) == (690, False)
 
 
 def test_current_cpu_is_one_this_process_may_run_on():
@@ -1390,6 +1591,17 @@ class TestRelabel:
                 expected = [sum(1 << pos[w] for w in members if g.has_edge(v, w))
                             for v in order]
                 assert _relabel(list(g.adj), pool, order) == expected, (n, keep)
+
+    def test_matches_per_bit_loop(self):
+        rng = random.Random(718)
+        for n in (1, 2, 63, 64, 65, 184, 301, 700):
+            g = random_graph(rng, n, rng.choice([0.1, 0.5, 0.9]))
+            for keep in (1.0, 0.6, 0.1):
+                members = [v for v in range(n) if rng.random() < keep] or [n - 1]
+                pool = sum(1 << v for v in members)
+                order = rng.sample(members, len(members))
+                adj = list(g.adj)
+                assert _relabel(adj, pool, order) == reference_relabel(adj, pool, order), n
 
 
 class TestComplementDuality:
