@@ -47,6 +47,18 @@ split, the processes that hold later items stop at their next check. A
 search splits under a limit only while at least _SPLIT_NODES nodes are left
 before it stops. Nothing is forked on one CPU, or while a second thread
 runs.
+
+A split splits again inside an item. Once no item is left to take, and
+none has ended the split, the last item still running hands back the work
+it has left at its next check, if it has found no improvement, by the same
+rule as the first split (_SPLIT_NODES nodes into the item, as many left
+before a node limit's stop), or sooner once a process is idle: its search
+builds that work as a list of items, as the first split builds its own,
+and returns it with status "split". When the merge reaches the item, it
+takes the one-CPU stop if the item's nodes reach it, and otherwise splits
+those items over the same workers from the item's exact count, merging
+their results before the next item. Such rounds nest, kept on a list, so
+nesting costs the interpreter no stack.
 (McCreesh and Prosser, Algorithms 2013, also split below the root and hand
 out work as it is asked for, with a shared incumbent that makes node counts
 depend on timing.)
@@ -229,13 +241,15 @@ def check_coloring(g: Graph, coloring: tuple[int, ...], k: int | None = None) ->
 
 # A clique search or a k-colorability search splits the work it still has
 # to do across processes once it has spent this many nodes, and, under a node
-# limit, only while at least this many are left before it stops. A call's
-# first split of two empty items, the fork and, at the call's end, the reap,
-# took 3.0, 4.9 and 10.8 ms at 17, 54 and 115 MB resident, and each later
-# split of the call, which sends its workers a job, 0.06-0.08 ms (medians of
-# 30 and 120; 2-vCPU VM, Python 3.11). So a call pays for its fork once, and
-# a search that ends soon after this many nodes costs its call little more
-# than that fork.
+# limit, only while at least this many are left before it stops. Once no
+# item of a split is left to take, the last item still running hands back
+# the work it has left, to be split again, once it has searched this many
+# nodes (or a process is idle). A call's first split of two empty items, the
+# fork and, at the call's end, the reap, took 3.0, 4.9 and 10.8 ms at 17, 54
+# and 115 MB resident, and each later split of the call, which sends its
+# workers a job, 0.06-0.08 ms (medians of 30 and 120; 2-vCPU VM, Python
+# 3.11). So a call pays for its fork once, and a search that ends soon after
+# this many nodes costs its call little more than that fork.
 _SPLIT_NODES = 1 << 10
 
 
@@ -256,6 +270,7 @@ class _Budget:
     """
 
     __slots__ = ("node_limit", "deadline", "spent", "workers")
+    hand_back = False  # only an item of a split hands its work back (split._ItemBudget)
 
     def __init__(self, options: SolveOptions):
         self.node_limit = options.node_budget
@@ -485,7 +500,7 @@ def _search(search, frame: tuple, best: int, best_mask: int, nodes: int,
         if nodes & 255 == 0:
             if budget.exceeded(nodes):
                 return (best, best_mask, nodes, "budget")
-            if _SPLIT_NODES <= nodes <= split_by:
+            if _SPLIT_NODES <= nodes <= split_by or budget.hand_back:
                 frames = [(r_size, r_mask, pool, classes, cls, color), *reversed(stack)]
                 items = _pending(nbr, frames, best)
                 if len(items) >= 2:
@@ -522,31 +537,55 @@ def _split(search, items: list, best: int, best_mask, nodes: int) -> tuple[int, 
     budget's workers and this process (split.split_items) from incumbent
     best, then merged in order into the result the one-CPU search would
     return; search is a clique search (_search) or a coloring search
-    (_color_search), and best_mask its witness.
+    (_color_search), and best_mask its witness. In an item of a split whose
+    budget hands its work back (split._ItemBudget), the items are returned
+    instead, as (best, items, nodes, "split"), for the merge to split again.
 
     Let S be the count at which the one-CPU search stops under the node
     limit (_Budget.stop_count), and n0 the count at which it would start an
     item. A result from the split is taken only while best is still the
-    incumbent of the split and no deadline stopped it: if it ended with
-    n0 + its nodes < S, as it is; if it ran to S - n0 nodes or more, as the
-    one-CPU stop: status "budget", nodes S, and the last improvement below
-    S - n0 nodes into the item. Any other item is searched here; an item that
-    best cuts, or whose pool is empty, costs no node there. A worker's
-    cliques and colorings are re-checked before they are taken.
+    incumbent of the split and no deadline stopped it: if it ran to S - n0
+    nodes or more, as the one-CPU stop: status "budget", nodes S, and the
+    last improvement below S - n0 nodes into the item; otherwise, if the
+    item handed its work back, its items are split again in the same way
+    from count n0 plus its nodes, and merged before the next item; else as
+    it is. Any other item is searched here; an item that best cuts, or
+    whose pool is empty, costs no node there. A worker's cliques and
+    colorings are re-checked before they are taken. The rounds of the
+    split nest on a list, not on the interpreter's stack.
     """
+    if search[4].hand_back:
+        return (best, items, nodes, "split")
     from . import split  # loaded only by a search that splits
     stop = search[4].stop_count()
-    shared = split.split_items(search, items, best, nodes, _usable_cpus())
+    processes = _usable_cpus()
+    shared = split.split_items(search, items, best, nodes, processes)
     split_best = best
-    for i, item in enumerate(items):
+    rounds = []  # (items, results, next position) of each round a nested one interrupted
+    i = 0
+    while True:
+        if i == len(items):
+            if not rounds:
+                return (best, best_mask, nodes, "complete")
+            items, shared, i = rounds.pop()
+            continue
+        item = items[i]
         got = shared.get(i) if best == split_best else None
+        i += 1
         if got is not None:
-            count, status, trail = got
-            if status != "budget" and (stop is None or nodes + count < stop):
+            count, status, rest = got  # rest: the improvements, or the items handed back
+            if status == "split" and (stop is None or nodes + count < stop):
+                rounds.append((items, shared, i))
                 nodes += count
-            elif stop is not None and nodes + count >= stop:
+                items, i = rest, 0
+                shared = split.split_items(search, items, best, nodes, processes)
+                continue
+            trail = [] if status == "split" else rest
+            if stop is not None and nodes + count >= stop:
                 trail = [t for t in trail if nodes + t[0] < stop]
                 nodes, status = stop, "budget"
+            elif status != "budget":
+                nodes += count
             else:
                 got = None
         if got is None:
@@ -558,7 +597,6 @@ def _split(search, items: list, best: int, best_mask, nodes: int) -> tuple[int, 
             best, best_mask = value, witness
         if status != "complete":
             return (best, best_mask, nodes, status)
-    return (best, best_mask, nodes, "complete")
 
 
 def _search_item(search, item, best: int, best_mask, nodes: int, trail: list | None = None):
@@ -998,7 +1036,7 @@ def _color_search(search, path: tuple, best: int, coloring, nodes: int,
         bucket[s] ^= 1 << v
         uncolored ^= 1 << v
         stack.append([v, -1, min(max_used + 1, k), max_used, bucket, 0])
-        if nodes & 255 == 0 and _SPLIT_NODES <= nodes <= split_by:
+        if nodes & 255 == 0 and (_SPLIT_NODES <= nodes <= split_by or budget.hand_back):
             items = _color_pending(adj, top, path[:-1], stack, forb, uncolored)
             if len(items) >= 2:
                 return _split(search, items, best, coloring, nodes)

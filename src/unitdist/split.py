@@ -40,6 +40,21 @@ it. Once an item ends the split (a target, a coloring, a rise of the
 incumbent, or a stop), its position is written into the queue too: nothing
 more is handed out, and a process that holds a later item stops at its next
 check and returns nothing for it, since the merge never reads it.
+
+Once no item is left to take, and none has ended the split, the last item
+still running hands back the work it has left at its next check
+(_ItemBudget): when it has searched solve._SPLIT_NODES nodes, or sooner
+once a process holds no item and is idle, provided it has found no
+improvement and, under a node limit, may have solve._SPLIT_NODES nodes left
+before the stop. Since no later item
+runs beside it, no start bound misses the work it hands back. The item's
+search returns that work as items, built as the first split builds its
+own, and _search_share returns them, with the nodes the item searched, in
+place of its improvements; its process then finds nothing left either.
+When the merge reaches the item, it splits those items again
+(solve._split): one more job to each worker, a round of the same queue
+from the item's exact count, whose results it merges before the next
+item. A round's items hand work back in the same way, so the rounds nest.
 """
 from __future__ import annotations
 
@@ -50,6 +65,7 @@ import signal
 import struct
 from contextlib import contextmanager, suppress
 
+from . import solve
 from .solve import SolveOptions, _Budget, _new_search, _search_item
 
 
@@ -127,15 +143,21 @@ class _Queue:
             c[_NEXT] = c[_SIZE]
             c[_END] = min(c[_END], at)
 
-    def report(self, count: int) -> tuple[int, bool]:
+    def report(self, count: int) -> tuple[int, bool, bool, bool]:
         """Record count as this process's running count in its position;
         return the nodes, finished or running, of the positions before it,
-        and whether one of them ended the split."""
+        whether one of them ended the split, whether it is the last position
+        still held with none left to take and none that ended the split, and
+        whether a process holds none. Once none is left to take, a process
+        that holds none has found nothing left, or will when it next asks:
+        it is idle."""
         me = 4 + 3 * self.slot
         with self._counters() as c:
             c[me + 1] = count
             running = sum(c[other + 1] for other in range(4, len(c), 3) if c[other] < c[me])
-            return c[me + 2] + running, c[_END] < c[me]
+            last = c[_NEXT] == c[_END] == c[_SIZE] and not any(
+                c[me] < c[other] != _IDLE for other in range(4, len(c), 3))
+            return c[me + 2] + running, c[_END] < c[me], last, _IDLE in c[4::3]
 
     def __enter__(self) -> "_Queue":
         return self
@@ -170,33 +192,56 @@ class _ItemBudget:
     more than those items still have to search, plus 256, and an item past
     the stop stops at its first check once the items before it have reached
     the stop.
+
+    At a check that does not stop it, the item hands its work back
+    (hand_back, read by solve._split) when no item is left to take, no item
+    after it is still running and none has ended the split, and it has
+    searched solve._SPLIT_NODES nodes, the rule by which a search splits, or
+    a process is idle; but only if it has found no improvement (trail is
+    empty) and, under a node limit, solve._SPLIT_NODES nodes may be left
+    before the stop. No later item runs beside it then, or starts after it,
+    so none has a start bound that misses the work handed back, and the
+    bound above holds. Once an item has ended the split, the merge ends at
+    or before it, and the items before it finish where they run, as without
+    a hand-back: their work left leads to a result the merge already holds,
+    or, under a node limit, to a stop that is near.
     """
 
-    __slots__ = ("queue", "budget", "nodes", "start", "dropped")
+    __slots__ = ("queue", "budget", "nodes", "start", "trail", "dropped", "hand_back")
 
-    def __init__(self, queue: _Queue, budget: _Budget, nodes: int, start: int):
+    def __init__(self, queue: _Queue, budget: _Budget, nodes: int, start: int, trail: list):
         self.queue, self.budget, self.nodes, self.start = queue, budget, nodes, start
-        self.dropped = False
+        self.trail = trail
+        self.dropped = self.hand_back = False
 
     def exceeded(self, count: int) -> bool:
-        before, self.dropped = self.queue.report(count - self.start)
+        into = count - self.start
+        before, self.dropped, last, idle = self.queue.report(into)
+        at = self.nodes + before + into  # the one-CPU count here, or less
         # Rounded down to a multiple of 256, the count at which the one-CPU
         # search would check its budget: passed from below, never before it.
-        return self.dropped or self.budget.exceeded(
-            (self.nodes + before + count - self.start) & -256)
+        if self.dropped or self.budget.exceeded(at & -256):
+            return True
+        stop = self.budget.stop_count()
+        self.hand_back = (last and not self.trail and (into >= solve._SPLIT_NODES or idle)
+                          and (stop is None or stop - at >= solve._SPLIT_NODES))
+        return False
 
 
 def _search_share(search, items: list, queue: _Queue, best: int, nodes: int) -> list[tuple]:
     """Search items[i], for each position i taken from queue, each from
     incumbent best, and return (i, nodes, status, improvements) for each,
-    an improvement being (nodes into the item, best, witness).
+    an improvement being (nodes into the item, best, witness); an item that
+    hands its work back (_ItemBudget) returns (i, nodes, "split", the items
+    of the work it had left, as solve._pending or solve._color_pending
+    builds them).
 
     Each item's running node count starts at nodes, the call's count at the
     split, plus the nodes of the items finished so far, and the item's
-    budget is an _ItemBudget. After the first item that is not "complete"
-    or beats best, the queue is cleared and this process stops: from that
-    item on the merge takes no result of the split, so the items after it
-    stop at their next check, and are not returned.
+    budget is an _ItemBudget. The first item that is neither "complete" nor
+    "split", or that beats best, clears the queue: from that item on the
+    merge takes no result of the split, so the items after it stop at their
+    next check, and are not returned.
     """
     out = []
     done = 0
@@ -204,16 +249,18 @@ def _search_share(search, items: list, queue: _Queue, best: int, nodes: int) -> 
     while (taken := queue.take(done)) is not None:
         i, finished = taken
         start = nodes + finished
-        item_search[4] = budget = _ItemBudget(queue, search[4], nodes, start)
         trail = []
-        _, _, end, status = _search_item(tuple(item_search), items[i], best, 0, start, trail)
-        if budget.dropped:
-            break
+        item_search[4] = budget = _ItemBudget(queue, search[4], nodes, start, trail)
+        _, rest, end, status = _search_item(tuple(item_search), items[i], best, 0, start, trail)
         done = end - start
+        if budget.dropped:
+            continue
+        if status == "split":
+            out.append((i, done, status, rest))
+            continue
         out.append((i, done, status, [(at - start, value, witness) for at, value, witness in trail]))
         if status != "complete" or trail:
             queue.clear(i)
-            break
     return out
 
 
@@ -308,9 +355,9 @@ class _Workers:
         return True
 
     def split(self, search, items: list, best: int, nodes: int) -> dict[int, tuple]:
-        """{i: (nodes, status, improvements)} of _search_share for the items
-        whose results came back, searched by the workers and this process
-        from one queue; the first split forks one worker per further
+        """{i: (nodes, status, improvements or items)} of _search_share for
+        the items whose results came back, searched by the workers and this
+        process from one queue; the first split forks one worker per further
         process of the queue.
 
         Each worker is held to a CPU of this process's set other than the
@@ -375,8 +422,8 @@ def split_items(search, items: list, best: int, nodes: int,
                 processes: int) -> dict[int, tuple]:
     """Search the items, the work left at count nodes, each from incumbent
     best, across the workers of the call's budget (search[4]) and this
-    process; {i: (nodes, status, improvements)} of _search_share for the
-    items whose results came back. The budget's first split forks its
+    process; {i: (nodes, status, improvements or items)} of _search_share
+    for the items whose results came back. The budget's first split forks its
     workers, processes - 1 of them; the caller searches the items whose
     results did not come back."""
     budget = search[4]

@@ -158,6 +158,26 @@ class TestMaxIndependentSet:
         assert isinstance(res, ud.MisResult) and res.alpha == n - 1
         assert sys.getrecursionlimit() == limit
 
+    def test_deep_clique_split_hands_nothing_back(self, monkeypatch):
+        # Split on two CPUs at 1,024 nodes, the star's clique search leaves
+        # 1,010,178 items, which reach the worker through the fork. None of
+        # them hands its work back, so no such list goes to a worker again.
+        n = 1500
+        monkeypatch.setattr(solve, "_usable_cpus", lambda: 2)
+        splits = []
+        real = split.split_items
+
+        def split_items(search, items, *args):
+            out = real(search, items, *args)
+            handed = sum(len(rest) for _, status, rest in out.values() if status == "split")
+            splits.append((len(items), handed))
+            return out
+
+        monkeypatch.setattr(split, "split_items", split_items)
+        res = ud.max_independent_set(ud.Graph.from_edges(n, [(0, v) for v in range(1, n)]))
+        assert isinstance(res, ud.MisResult) and res.alpha == n - 1
+        assert splits == [(1_010_178, 0)]
+
     def test_c86_solved_one_half_at_a_time(self):
         g, _ = ud.hamming_graph(8, 6)
         res = ud.max_independent_set(g, ud.SolveOptions(node_budget=50_000))
@@ -1076,9 +1096,11 @@ class TestSplitRobustness:
         real = split._search_share
 
         def share(search, items, queue, best, nodes):
-            # Report every improvement with one vertex too few.
-            return [(i, count, status, [(at, value, mask & (mask - 1)) for at, value, mask in trail])
-                    for i, count, status, trail in real(search, items, queue, best, nodes)]
+            # Report every improvement with one vertex too few; an item that
+            # hands its work back reports the items it had left.
+            return [(i, count, status, rest if status == "split" else
+                     [(at, value, mask & (mask - 1)) for at, value, mask in rest])
+                    for i, count, status, rest in real(search, items, queue, best, nodes)]
 
         monkeypatch.setattr(split, "_search_share", share)
         adj, pool, _ = cases[-1]
@@ -1237,9 +1259,10 @@ class TestColoringSplit:
         real = split._search_share
 
         def share(*args):
-            return [(i, count, status,
-                     [(at, value, (coloring[1],) + coloring[1:]) for at, value, coloring in trail])
-                    for i, count, status, trail in real(*args)]
+            # An item that hands its work back reports the items it had left.
+            return [(i, count, status, rest if status == "split" else
+                     [(at, value, (coloring[1],) + coloring[1:]) for at, value, coloring in rest])
+                    for i, count, status, rest in real(*args)]
 
         monkeypatch.setattr(split, "_search_share", share)
         with pytest.raises(RuntimeError, match="a coloring from a split search failed"):
@@ -1292,13 +1315,208 @@ class TestColoringSplit:
         assert len(reports) == 1 and reports[0] <= 256
 
 
+def stack_depth() -> int:
+    """The number of frames on the interpreter's stack of the caller."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.fixture
+def rounds(monkeypatch):
+    """Splits forced at 256 nodes. Returns a list that gets, for each round
+    of a split as it starts, [its nesting, the items it handed back, the
+    stack depth it was called at]: nesting 1 for a search's first round, and
+    one more than its own round's for the round of an item handed back."""
+    monkeypatch.setattr(solve, "_SPLIT_NODES", 0)
+    log = []
+    nesting = {}  # id of a list of items handed back -> (nesting of its round, the list)
+    real = split.split_items
+
+    def split_items(search, items, *args):
+        record = [nesting.pop(id(items), (0,))[0] + 1, 0, stack_depth()]
+        log.append(record)
+        out = real(search, items, *args)
+        handed = [rest for _, status, rest in out.values() if status == "split"]
+        nesting.update((id(rest), (record[0], rest)) for rest in handed)
+        record[1] = len(handed)
+        return out
+
+    monkeypatch.setattr(split, "split_items", split_items)
+    return log
+
+
+@pytest.fixture
+def eager(monkeypatch):
+    """Every item of a split hands its work back at its first check that
+    finds neither a stop nor an improvement, whether items are left to take,
+    later ones are running or one has ended the split, or not: as many
+    hand-backs as the merge can be given."""
+    real = split._Queue.report
+    monkeypatch.setattr(split._Queue, "report",
+                        lambda queue, count: (*real(queue, count)[:2], True, True))
+
+
+def hand_backs(log) -> tuple[int, int]:
+    """(items handed back, those handed back in a round that was itself
+    handed back) in the log of the rounds fixture."""
+    return sum(r[1] for r in log), sum(r[1] for r in log if r[0] > 1)
+
+
+@pytest.fixture(scope="module")
+def hand_back_clique_cases():
+    """Clique searches of 74 to 5,937 nodes on two random graphs, whose
+    maximum cliques the recursive reference kernel checks: from no
+    incumbent, from the maximum (no improvement left to find) and from one
+    less with the maximum as target, each also under a node limit one node
+    either side of every multiple of 256 it reaches: (name, call, its
+    one-CPU result) for each."""
+    rng = random.Random(1313)
+    cases = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solve, "_usable_cpus", lambda: 1)
+        for n, p in ((150, 0.5), (120, 0.7)):
+            g = random_graph(rng, n, p)
+            adj = list(g.adj)
+            omega = clique_search(adj, g.full_mask)[0]
+            assert omega == reference_max_clique(adj, n, options=SolveOptions())[0]
+            for initial_best, stop_at in ((0, None), (omega, None), (omega - 1, omega)):
+                nodes = clique_search(adj, g.full_mask, initial_best=initial_best,
+                                      stop_at=stop_at)[2]
+                limits = [None] + [m * 256 + d for m in range(1, nodes // 256 + 1) for d in (-1, 1)]
+                for limit in limits:
+                    run = (lambda o=SolveOptions(node_budget=limit), a=adj, pool=g.full_mask,
+                           b=initial_best, t=stop_at: clique_search(a, pool, o, initial_best=b,
+                                                                    stop_at=t))
+                    cases.append((f"{n} {initial_best} {stop_at} {limit}", run, run()))
+    return cases
+
+
+@pytest.mark.usefixtures("nothing_left_behind")
+class TestHandBack:
+    """The last item of a split still running once nothing is left to take
+    hands the work it has left back, and the merge splits it again over the
+    same workers, in rounds that nest: every result, budget stops included,
+    is the one-CPU one, whatever happens to a worker in a nested round, and
+    nesting costs no stack."""
+
+    @pytest.mark.parametrize("trigger", ["natural", "eager"])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_coloring_gives_the_one_cpu_result(self, coloring_cases, rounds, request,
+                                               monkeypatch, cpus, trigger):
+        if trigger == "eager":
+            request.getfixturevalue("eager")
+        monkeypatch.setattr(solve, "_usable_cpus", lambda: cpus)
+        for name, run, expected in coloring_cases:
+            assert run() == expected, name
+        handed, nested = hand_backs(rounds)
+        least_handed, least_nested = (50, 8) if trigger == "natural" else (300, 100)
+        assert handed >= least_handed and nested >= least_nested
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_clique_gives_the_one_cpu_result(self, hand_back_clique_cases, rounds, eager,
+                                             monkeypatch, cpus):
+        # Random clique searches split into many small items, of which the
+        # last rarely runs on once a process is idle; so every item hands
+        # back at its first check here.
+        monkeypatch.setattr(solve, "_usable_cpus", lambda: cpus)
+        for name, run, expected in hand_back_clique_cases:
+            assert run() == expected, name
+        handed, nested = hand_backs(rounds)
+        assert handed >= 300 and nested >= 30
+
+    def test_worker_killed_in_a_round_after_a_hand_back(self, coloring_cases, rounds, eager,
+                                                        monkeypatch):
+        # At the start of every nested round, once its job is sent, the
+        # caller kills its worker: the round and the rest of the call run in
+        # the caller alone.
+        monkeypatch.setattr(solve, "_usable_cpus", lambda: 2)
+        caller = os.getpid()
+        killed = []
+        real = split._search_share
+
+        def share(search, *args):
+            procs = search[4].workers.procs
+            if os.getpid() == caller and rounds[-1][0] > 1 and procs:
+                os.kill(procs[0][0], signal.SIGKILL)
+                killed.append(procs[0][0])
+            return real(search, *args)
+
+        monkeypatch.setattr(split, "_search_share", share)
+        for name, run, expected in coloring_cases[::3]:
+            assert run() == expected, name
+        assert len(killed) >= 15
+
+    def test_worker_coloring_rechecked_after_a_hand_back(self, rounds, eager, monkeypatch):
+        # The caller takes no item, and every coloring the worker reports
+        # gives vertex 0 the color of a neighbour: the merge meets the first
+        # after the rounds of the items handed back before it.
+        monkeypatch.setattr(solve, "_usable_cpus", lambda: 2)
+        caller = os.getpid()
+        real = split._search_share
+
+        def share(*args):
+            if os.getpid() == caller:
+                return []
+            return [(i, count, status, rest if status == "split" else
+                     [(at, value, (coloring[1],) + coloring[1:]) for at, value, coloring in rest])
+                    for i, count, status, rest in real(*args)]
+
+        monkeypatch.setattr(split, "_search_share", share)
+        with pytest.raises(RuntimeError, match="a coloring from a split search failed"):
+            ud.k_colorable(queen_graph(6), 7)
+        assert len(rounds) >= 2 and hand_backs(rounds)[1] >= 1
+
+    @pytest.mark.parametrize("entry", ["k_colorable", "chromatic_number", "clique"])
+    def test_no_child_after_a_raise_in_a_nested_round(self, rounds, eager, monkeypatch, entry):
+        monkeypatch.setattr(solve, "_usable_cpus", lambda: 2)
+        g = random_graph(random.Random(1313), 150, 0.5)
+        omega = clique_search(list(g.adj), g.full_mask)[0]
+        calls = {"k_colorable": lambda: ud.k_colorable(queen_graph(6), 7),
+                 "chromatic_number": lambda: ud.chromatic_number(queen_graph(6)),
+                 "clique": lambda: clique_search(list(g.adj), g.full_mask, initial_best=omega)}
+        real = split.split_items
+
+        def split_items(*args):
+            out = real(*args)
+            if rounds[-1][0] > 1:
+                raise RuntimeError("fails in a nested round")
+            return out
+
+        monkeypatch.setattr(split, "split_items", split_items)
+        with pytest.raises(RuntimeError, match="in a nested round"):
+            calls[entry]()
+
+    def test_nested_rounds_take_no_stack(self, rounds, eager, monkeypatch):
+        # Every round of a search is called at one stack depth, however deep
+        # it nests, so a recursion limit a few frames above the caller's
+        # depth does not stop a search that nests rounds ten deep.
+        g, _ = ud.hamming_graph(8, 6)
+        options = SolveOptions(node_budget=50_000)
+        monkeypatch.setattr(solve, "_usable_cpus", lambda: 1)
+        expected = ud.k_colorable(g, 5, options)
+        monkeypatch.setattr(solve, "_usable_cpus", lambda: 2)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 40)
+        try:
+            got = ud.k_colorable(g, 5, options)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == expected and expected.status == "unknown"
+        assert max(r[0] for r in rounds) >= 8
+        assert len({r[2] for r in rounds}) == 1
+
+
 @pytest.mark.usefixtures("nothing_left_behind")
 def test_budgeted_h11_4_pivot_split_gives_the_one_cpu_result(monkeypatch):
     # The benchmark's H(11,4) search stops at 150,016 nodes inside its
     # first root branch; split on two CPUs at 1,024 nodes, it still returns
     # the one-CPU bracket, witness and node count. The item in which the
     # stop falls runs no more than 256 nodes past it: its process's start
-    # bound counts the nodes of the items before it, running ones too.
+    # bound counts the nodes of the items before it, running ones too. That
+    # item, 624, hands no work back: by the time it is the last one running,
+    # item 626 has ended the split at the stop.
     g, _ = ud.half_cube(11, 4)
     splits = []
     real = split.split_items
@@ -1530,8 +1748,10 @@ class TestQueue:
 
     def test_start_bound_counts_items_in_flight(self):
         # Three slots in one process: each report returns the nodes of the
-        # positions before the slot's own, finished or running, and whether
-        # one of them ended the split.
+        # positions before the slot's own, finished or running, whether one
+        # of them ended the split, whether the slot's position is the last
+        # one held with none left to take and none that ended the split (an
+        # item that may hand its work back), and whether a slot holds none.
         with split._Queue(4, 3) as queue:
             def as_slot(slot, method, *args):
                 queue.slot = slot
@@ -1540,18 +1760,28 @@ class TestQueue:
             assert as_slot(1, "take") == (0, 0)
             assert as_slot(2, "take") == (1, 0)
             assert as_slot(0, "take") == (2, 0)
-            assert as_slot(1, "report", 500) == (0, False)
-            assert as_slot(2, "report", 40) == (500, False)
-            assert as_slot(0, "report", 7) == (540, False)
+            assert as_slot(1, "report", 500) == (0, False, False, False)
+            assert as_slot(2, "report", 40) == (500, False, False, False)
+            assert as_slot(0, "report", 7) == (540, False, False, False)
             assert as_slot(2, "take", 90) == (3, 90)  # position 1 finished in 90
-            assert as_slot(0, "report", 8) == (590, False)
-            assert as_slot(2, "report", 3) == (598, False)
+            assert as_slot(0, "report", 8) == (590, False, False, False)  # position 3 runs
+            assert as_slot(2, "report", 3) == (598, False, True, False)
             assert as_slot(1, "take", 600) is None  # position 0 finished in 600
-            assert as_slot(0, "report", 9) == (690, False)
-            assert as_slot(2, "report", 4) == (699, False)
+            assert as_slot(0, "report", 9) == (690, False, False, True)
+            assert as_slot(2, "report", 4) == (699, False, True, True)
             as_slot(0, "clear", 2)
-            assert as_slot(2, "report", 5) == (699, True)
-            assert as_slot(0, "report", 10) == (690, False)
+            assert as_slot(2, "report", 5) == (699, True, False, True)
+            assert as_slot(0, "report", 10) == (690, False, False, True)
+            queue.reset(3)  # every slot holds none until it takes
+            assert as_slot(0, "take") == (0, 0)
+            assert as_slot(0, "report", 1) == (0, False, False, True)
+            assert as_slot(1, "take") == (1, 0)
+            assert as_slot(2, "take") == (2, 0)
+            assert as_slot(1, "report", 2) == (1, False, False, False)  # position 2 runs
+            assert as_slot(2, "report", 3) == (3, False, True, False)
+            assert as_slot(2, "take", 4) is None
+            assert as_slot(1, "report", 5) == (1, False, True, True)
+            assert as_slot(0, "report", 6) == (0, False, False, True)  # position 1 runs
 
 
 def test_current_cpu_is_one_this_process_may_run_on():
