@@ -188,17 +188,37 @@ def sq_dist(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 
 def graph_from_points(cloud: PointCloud, name: str = "") -> Graph:
     """Graph on the cloud's points, i ~ j iff their squared distance equals
-    the cloud's adjacency distance. Vertex order matches point order."""
-    n = len(cloud.points)
-    target = cloud.adjacency_sq_dist
-    adj = [0] * n
-    pts = cloud.points
-    for i in range(n):
-        pi = pts[i]
-        for j in range(i + 1, n):
-            if sq_dist(pi, pts[j]) == target:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    the cloud's adjacency distance. Vertex order matches point order.
+
+    Each row comes from packed integers, with no Python loop over pairs.
+    Field j of an integer is its B bits from bit jB, where B is one more
+    than the bit length of the larger of the target and 4 max|c|^2 dim, a
+    bound on every squared distance, so every field below stays under
+    2^(B-1). With C_k = sum_j p_j[k] 2^(jB), N = sum_j |p_j|^2 2^(jB) and
+    ONES = sum_j 2^(jB), the integer N + |p_i|^2 ONES - 2 sum_k p_i[k] C_k
+    holds |p_i - p_j|^2 exactly in field j. Its XOR with target ONES is 0
+    in the fields at the target distance; adding 2^(B-1) - 1 to every field
+    sets a field's top bit unless the field is 0, and row i is the fields'
+    top bits, flipped, read as one format/slice/int(..., 2), highest field
+    first (as permute_rows reads its digits). Field i holds 0, never the
+    positive target, so no row has a loop.
+    """
+    points = cloud.points
+    n = len(points)
+    top = max((abs(c) for p in points for c in p), default=0)
+    width = max(cloud.adjacency_sq_dist, 4 * top * top * cloud.dim).bit_length() + 1
+    ones = sum(1 << (j * width) for j in range(n))
+    high = ones << (width - 1)
+    low = high - ones  # 2^(B-1) - 1 in every field
+    norms = [sum(c * c for c in p) for p in points]
+    norm = sum(s << (j * width) for j, s in enumerate(norms))
+    twice = [sum(p[k] << (j * width + 1) for j, p in enumerate(points)) for k in range(cloud.dim)]
+    at_target = cloud.adjacency_sq_dist * ones
+    digits = f"0{n * width}b"
+    adj = []
+    for p, s in zip(points, norms):
+        dist = norm + s * ones - sum(c * column for c, column in zip(p, twice) if c)
+        adj.append(int(format((((dist ^ at_target) + low) & high) ^ high, digits)[::width], 2))
     return Graph._trusted(n, tuple(adj), name)
 
 

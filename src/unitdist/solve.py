@@ -21,7 +21,9 @@ worker per further usable CPU (module split: os.fork, a shared queue, pipes
 and marshal, loaded only by a search that splits). The workers are forked at
 the first split of the call, kept for its later splits, each of which sends
 them its work through their pipes, and ended when the call returns or raises
-(_Budget.close), so a call forks once however often it splits. The work the
+(_Budget.close), so a call forks once however often it splits. A later
+search of the call, whose budget already holds the workers, splits at its
+first check, at 256 nodes, since its split costs no fork. The work the
 search still has to do becomes a list of items, in the order the one-CPU
 search would take them: for the clique search the current node's children
 not yet searched, then each parent's, deepest first, down to the root's; for
@@ -239,17 +241,20 @@ def check_coloring(g: Graph, coloring: tuple[int, ...], k: int | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-# A clique search or a k-colorability search splits the work it still has
-# to do across processes once it has spent this many nodes, and, under a node
-# limit, only while at least this many are left before it stops. Once no
-# item of a split is left to take, the last item still running hands back
-# the work it has left, to be split again, once it has searched this many
-# nodes (or a process is idle). A call's first split of two empty items, the
-# fork and, at the call's end, the reap, took 3.0, 4.9 and 10.8 ms at 17, 54
-# and 115 MB resident, and each later split of the call, which sends its
-# workers a job, 0.06-0.08 ms (medians of 30 and 120; 2-vCPU VM, Python
-# 3.11). So a call pays for its fork once, and a search that ends soon after
-# this many nodes costs its call little more than that fork.
+# The first search of a call that splits the work it still has to do across
+# processes, a clique search or a k-colorability search, splits once it has
+# spent this many nodes; a later search of the call, whose budget already
+# holds the workers, splits at its first check, at 256 nodes. Under a node
+# limit a search splits only while at least this many nodes are left before
+# it stops. Once no item of a split is left to take, the last item still
+# running hands back the work it has left, to be split again, once it has
+# searched this many nodes (or a process is idle). A call's first split of
+# two empty items, the fork and, at the call's end, the reap, took 3.0, 4.9
+# and 10.8 ms at 17, 54 and 115 MB resident, and each later split of the
+# call, which sends its workers a job, 0.06-0.08 ms (medians of 30 and 120;
+# 2-vCPU VM, Python 3.11). So a call pays for its fork once, a search that
+# ends soon after this many nodes costs its call little more than that fork,
+# and a later split costs too little to wait for.
 _SPLIT_NODES = 1 << 10
 
 
@@ -381,11 +386,12 @@ def _max_clique_masks(adj, pool: int, *, initial_best: int = 0, stop_at: int | N
     every child, as best may have grown) is reached.
 
     The root is colored here and the rest is one depth-first search,
-    _search. Once the call has spent _SPLIT_NODES nodes, at one of the
-    search's checks every 256 nodes, with at least two usable CPUs and, under
-    a node limit, at least _SPLIT_NODES nodes left before the count at which
-    the search stops, the work the search still has to do is split across
-    the budget's workers, forked at the call's first split (_split).
+    _search. At one of the search's checks every 256 nodes, with at least
+    two usable CPUs and, under a node limit, at least _SPLIT_NODES nodes left
+    before the count at which the search stops, the work the search still
+    has to do is split across the budget's workers (_split): once the search
+    has spent _SPLIT_NODES nodes if the call has not forked them yet, at its
+    first check if it has (_split_range).
     """
     if not pool:
         return (0, 0, 0, "complete", 0)
@@ -395,18 +401,22 @@ def _max_clique_masks(adj, pool: int, *, initial_best: int = 0, stop_at: int | N
     classes, upper = _colour_classes(full, initial_best, search[1], search[2])
     root = (0, 0, full, classes, classes.pop() if classes else 0, upper)
     best, best_mask, nodes, status = _search(search, root, initial_best, 0, 1,
-                                             split_by=_split_by(budget))
+                                             split=_split_range(budget))
     return (best, mask_from_indices(order[i] for i in iter_bits(best_mask)), nodes, status, upper)
 
 
-def _split_by(budget: _Budget) -> float:
-    """The last count at which a search may split: 0 (never) with fewer than
-    two usable CPUs, and under a node limit _SPLIT_NODES before the count at
-    which the search stops."""
+def _split_range(budget: _Budget) -> tuple[int, float]:
+    """(first, last): a search splits at the first of its checks, every 256
+    nodes, whose count lies in first..last. first is _SPLIT_NODES while the
+    call has no workers, whose fork the first split pays for, and 256, the
+    first check, once budget.workers holds them. last is 0 (never) with
+    fewer than two usable CPUs, and under a node limit _SPLIT_NODES before
+    the count at which the search stops."""
+    first = _SPLIT_NODES if budget.workers is None else 256
     if _usable_cpus() < 2:
-        return 0
+        return (first, 0)
     stop = budget.stop_count()
-    return math.inf if stop is None else stop - _SPLIT_NODES
+    return (first, math.inf if stop is None else stop - _SPLIT_NODES)
 
 
 def _search_tuple(nbr: list[int], stop_at: int | None, budget: _Budget) -> tuple:
@@ -448,7 +458,7 @@ def _colour_classes(pool: int, cut: int, bit: list[int], anti: list[int]) -> tup
 
 
 def _search(search, frame: tuple, best: int, best_mask: int, nodes: int,
-            trail: list | None = None, split_by: float = 0) -> tuple[int, int, int, str]:
+            trail: list | None = None, split: tuple = (0, 0)) -> tuple[int, int, int, str]:
     """The clique search below one colored node: its children not yet
     searched, and their subtrees.
 
@@ -459,11 +469,11 @@ def _search(search, frame: tuple, best: int, best_mask: int, nodes: int,
     branched on. nodes is the call's running node count, which the budget is
     checked against every 256 nodes. Each improvement of best is appended to
     trail, if given, as (nodes, best, best_mask). At a check with
-    _SPLIT_NODES <= nodes <= split_by, the work left is split (_split), and
-    its result is returned. Returns (best, best_mask, nodes, status) with the
-    same statuses as _max_clique_masks. The search keeps an explicit stack
-    of parent frames, so its depth is not bounded by the interpreter's
-    recursion limit.
+    split[0] <= nodes <= split[1] (_split_range), the work left is split
+    (_split), and its result is returned. Returns (best, best_mask, nodes,
+    status) with the same statuses as _max_clique_masks. The search keeps an
+    explicit stack of parent frames, so its depth is not bounded by the
+    interpreter's recursion limit.
     """
     nbr, bit, anti, stop_at, budget, _ = search
     r_size, r_mask, pool, classes, cls, color = frame
@@ -500,7 +510,7 @@ def _search(search, frame: tuple, best: int, best_mask: int, nodes: int,
         if nodes & 255 == 0:
             if budget.exceeded(nodes):
                 return (best, best_mask, nodes, "budget")
-            if _SPLIT_NODES <= nodes <= split_by or budget.hand_back:
+            if split[0] <= nodes <= split[1] or budget.hand_back:
                 frames = [(r_size, r_mask, pool, classes, cls, color), *reversed(stack)]
                 items = _pending(nbr, frames, best)
                 if len(items) >= 2:
@@ -654,11 +664,12 @@ def _distinct_components(g: Graph, pool: int) -> list[tuple[Graph, list[tuple[in
 
     The subgraph's rows are relabelled in sorted vertex order, so components
     with identical rows are copies, and copy[v] is the vertex of g that
-    subgraph vertex v stands for. The relabelling map is sized to the
-    component, so many small components cost no more than their own rows. A
-    pool that is one connected component comes back as g itself, with the
-    identity as its one copy and no relabelled copy built: the caller
-    searches the pool in g's own rows.
+    subgraph vertex v stands for. The rows are relabelled by
+    core.permute_rows, as _relabel's are, after a shift that puts the
+    component's lowest vertex at bit 0, so each row is written out only as
+    wide as the component's span. A pool that is one connected component
+    comes back as g itself, with the identity as its one copy and no
+    relabelled copy built: the caller searches the pool in g's own rows.
     """
     comps = connected_components(g, pool)
     if len(comps) == 1:
@@ -666,8 +677,9 @@ def _distinct_components(g: Graph, pool: int) -> list[tuple[Graph, list[tuple[in
     groups: dict[tuple[int, ...], tuple[Graph, list[tuple[int, ...]]]] = {}
     for comp in comps:
         copy = comp.indices()
-        pos = {v: 1 << i for i, v in enumerate(copy)}
-        rows = tuple(sum(pos[w] for w in iter_bits(g.adj[v] & comp.bits)) for v in copy)
+        first = copy[0]
+        rows = tuple(permute_rows([(g.adj[v] & comp.bits) >> first for v in copy],
+                                  [v - first for v in copy], copy[-1] - first + 1))
         groups.setdefault(rows, (Graph._trusted(len(copy), rows), []))[1].append(copy)
     return list(groups.values())
 
@@ -934,7 +946,7 @@ def _k_color(g: Graph, k: int, budget: _Budget) -> KColorOutcome:
     bucket[0] = g.full_mask
     v, _ = _dsatur_select(bucket, search[1])
     _, coloring, nodes, status = _color_search(search, ((v, 0),), 0, None, 1,
-                                               split_by=_split_by(budget))
+                                               split=_split_range(budget))
     if status == "target":
         return KColorOutcome("colorable", coloring, nodes)
     return KColorOutcome("uncolorable" if status == "complete" else "unknown", None, nodes)
@@ -949,7 +961,7 @@ def _color_tuple(adj, k: int, budget: _Budget) -> tuple:
 
 
 def _color_search(search, path: tuple, best: int, coloring, nodes: int,
-                  trail: list | None = None, split_by: float = 0) -> tuple[int, object, int, str]:
+                  trail: list | None = None, split: tuple = (0, 0)) -> tuple[int, object, int, str]:
     """The coloring search below one choice: path is the (vertex, color)
     choices from the root, each 0-based, and the search tries the last
     choice, with no other color for its vertex, and then the subtree below.
@@ -959,8 +971,8 @@ def _color_search(search, path: tuple, best: int, coloring, nodes: int,
     order the search made them, so the state below them is the one the
     search had there. nodes is the call's running node count, one per
     vertex colored, which the budget is checked against every 256 nodes. At
-    a check with _SPLIT_NODES <= nodes <= split_by, the work left is split
-    (_split), and its result is returned. Returns (best, coloring, nodes,
+    a check with split[0] <= nodes <= split[1] (_split_range), the work left
+    is split (_split), and its result is returned. Returns (best, coloring, nodes,
     status), best passed through unchanged for the split's merge, with
     status "target" and the coloring (colors 1..k; also appended to trail,
     if given, as (nodes, best, coloring)) when one is found, "complete"
@@ -1036,7 +1048,7 @@ def _color_search(search, path: tuple, best: int, coloring, nodes: int,
         bucket[s] ^= 1 << v
         uncolored ^= 1 << v
         stack.append([v, -1, min(max_used + 1, k), max_used, bucket, 0])
-        if nodes & 255 == 0 and (_SPLIT_NODES <= nodes <= split_by or budget.hand_back):
+        if nodes & 255 == 0 and (split[0] <= nodes <= split[1] or budget.hand_back):
             items = _color_pending(adj, top, path[:-1], stack, forb, uncolored)
             if len(items) >= 2:
                 return _split(search, items, best, coloring, nodes)

@@ -25,7 +25,10 @@ incumbent and the count at the split; each worker sends back its results,
 marshalled, through a second pipe. The function that built the budget ends
 the workers when it returns or raises (_Budget.close). So a call forks once
 however often it splits, and a worker pays its copy-on-write faults once,
-not at every split. A budget that never splits forks nothing.
+not at every split. A budget that never splits forks nothing. The first
+split waits for solve._SPLIT_NODES nodes of its search, which the fork must
+repay; a later search of the call splits at its first check, at 256 nodes,
+as a job costs far less than a fork (solve._split_range).
 
 At each of its budget checks, every 256 nodes, a process writes the running
 count of its item into the queue, and reads back the nodes, finished or
@@ -196,15 +199,16 @@ class _ItemBudget:
     At a check that does not stop it, the item hands its work back
     (hand_back, read by solve._split) when no item is left to take, no item
     after it is still running and none has ended the split, and it has
-    searched solve._SPLIT_NODES nodes, the rule by which a search splits, or
-    a process is idle; but only if it has found no improvement (trail is
-    empty) and, under a node limit, solve._SPLIT_NODES nodes may be left
-    before the stop. No later item runs beside it then, or starts after it,
-    so none has a start bound that misses the work handed back, and the
-    bound above holds. Once an item has ended the split, the merge ends at
-    or before it, and the items before it finish where they run, as without
-    a hand-back: their work left leads to a result the merge already holds,
-    or, under a node limit, to a stop that is near.
+    searched solve._SPLIT_NODES nodes, the rule by which a call's first
+    search splits, or a process is idle; but only if it has found no
+    improvement (trail is empty) and, under a node limit,
+    solve._SPLIT_NODES nodes may be left before the stop. No later item runs
+    beside it then, or starts after it, so none has a start bound that
+    misses the work handed back, and the bound above holds. Once an item
+    has ended the split, the merge ends at or before it, and the items
+    before it finish where they run, as without a hand-back: their work left
+    leads to a result the merge already holds, or, under a node limit, to a
+    stop that is near.
     """
 
     __slots__ = ("queue", "budget", "nodes", "start", "trail", "dropped", "hand_back")

@@ -9,12 +9,15 @@ reference_max_clique keeps the recursive clique kernel that the package's
 explicit-stack kernel replaced, as a differential oracle for its node counts,
 witnesses, statuses and bounds. reference_degeneracy_order keeps the full
 scan for the minimum-degree vertex that the package's degree buckets
-replaced. reference_relabel and reference_check_automorphisms keep the
-per-bit loops over each row that core.permute_rows replaced.
+replaced. reference_relabel, reference_check_automorphisms and
+reference_components keep the per-bit loops over each row that
+core.permute_rows replaced. reference_graph_from_points keeps the pairwise
+distance loop that core.graph_from_points' packed rows replaced.
 """
 import sys
 
 import unitdist as ud
+from unitdist.core import connected_components, iter_bits, sq_dist
 from unitdist.solve import _Budget
 
 
@@ -271,3 +274,31 @@ def reference_check_automorphisms(g: ud.Graph, perms) -> None:
             if adj[p[v]] != image:
                 raise ValueError(f"automorphism {i} maps the neighbours of vertex {v} "
                                  f"onto vertices that are not the neighbours of {p[v]}")
+
+
+def reference_graph_from_points(cloud: ud.PointCloud) -> ud.Graph:
+    """The graph of core.graph_from_points, one squared distance per pair."""
+    n = len(cloud.points)
+    target = cloud.adjacency_sq_dist
+    adj = [0] * n
+    pts = cloud.points
+    for i in range(n):
+        for j in range(i + 1, n):
+            if sq_dist(pts[i], pts[j]) == target:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return ud.Graph(n, tuple(adj))
+
+
+def reference_components(g: ud.Graph, pool: int) -> list[tuple[tuple, list[tuple[int, ...]]]]:
+    """(relabelled rows, copies) of solve._distinct_components, for a pool of
+    more than one component: each component's rows relabelled in sorted
+    vertex order one bit at a time, components with identical rows grouped
+    in order of first appearance."""
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for comp in connected_components(g, pool):
+        copy = comp.indices()
+        pos = {v: 1 << i for i, v in enumerate(copy)}
+        rows = tuple(sum(pos[w] for w in iter_bits(g.adj[v] & comp.bits)) for v in copy)
+        groups.setdefault(rows, []).append(copy)
+    return list(groups.items())

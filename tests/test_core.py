@@ -7,7 +7,7 @@ from unitdist import e8
 from unitdist.core import DuplicatePointError, check_automorphisms, permute_rows, sq_dist
 
 from conftest import random_graph
-from oracles import reference_check_automorphisms
+from oracles import reference_check_automorphisms, reference_graph_from_points
 
 
 def bfs_components_oracle(g: ud.Graph) -> list[set[int]]:
@@ -66,6 +66,41 @@ class TestGraphFromPoints:
         cloud = ud.PointCloud(3, ((1, 2, 3),), 4)
         g = ud.graph_from_points(cloud)
         assert g.n == 1 and g.edge_count() == 0
+
+    def test_matches_pairwise_loop_on_random_clouds(self):
+        # Dimensions 0-8, small, negative and large coordinates, empty and
+        # one-point clouds, and targets that some pair meets or none does.
+        rng = random.Random(2024)
+        meets = misses = 0
+        for trial in range(400):
+            dim = trial % 9
+            scale = rng.choice([1, 2, 5, 1000, 10 ** 12])
+            n = rng.choice([0, 1]) if trial % 5 == 0 else rng.randrange(2, 40)
+            points = list(dict.fromkeys(tuple(rng.randint(-scale, scale) for _ in range(dim))
+                                        for _ in range(n)))
+            distances = [sq_dist(p, q) for p in points for q in points if p != q]
+            if distances and rng.random() < 0.7:
+                target = rng.choice(distances)
+            else:
+                target = rng.choice([1, 3, 4 * scale * scale * dim + 1, 10 ** 30])
+            cloud = ud.PointCloud(dim, tuple(points), target)
+            g = ud.graph_from_points(cloud, name="cloud")
+            assert g.adj == reference_graph_from_points(cloud).adj, (dim, scale, n, target)
+            assert g.n == len(points) and g.name == "cloud"
+            meets += g.edge_count() > 0
+            misses += len(points) > 1 and target not in distances
+        assert meets >= 180 and misses >= 50
+
+    def test_matches_pairwise_loop_on_gosset_and_cubes(self, g0_pair):
+        g, cloud = g0_pair
+        assert g.adj == reference_graph_from_points(cloud).adj
+        for d in range(1, 9):
+            for u in range(1, d + 1):
+                clouds = [ud.hamming_graph(d, u)[1], ud.slice_graph(d, u, d // 2)[1]]
+                if u % 2 == 0:
+                    clouds.append(ud.half_cube(d, u)[1])
+                for cloud in clouds:
+                    assert ud.graph_from_points(cloud) == reference_graph_from_points(cloud)
 
     def test_gosset_roots_regular_by_direct_count(self, g0_pair):
         # Degree recounted straight from the coordinates, pair by pair.
@@ -168,11 +203,12 @@ class TestTrustedBuilders:
                 tuple(rng.randrange(-2, 3) for _ in range(3)) for _ in range(n + 1)))
             cloud = ud.PointCloud(3, tuple(points[:-1]), rng.choice([1, 2, 5]))
             base = ud.graph_from_points(cloud)
-            assert revalidated(base) == base
+            assert revalidated(base) == base == reference_graph_from_points(cloud)
             x = points[-1]
             new_cloud, grown = e8._extend(cloud, base, x, e8._neighbor_mask(cloud, x))
             assert revalidated(grown) == grown
             assert grown == ud.graph_from_points(new_cloud)
+            assert grown == reference_graph_from_points(new_cloud)
 
 
 class TestDegreeProfile:

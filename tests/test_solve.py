@@ -10,7 +10,7 @@ import time
 import pytest
 
 import unitdist as ud
-from unitdist import solve, split
+from unitdist import e8, solve, split
 from unitdist.core import iter_bits
 from unitdist.solve import (
     SolveOptions,
@@ -28,6 +28,7 @@ from oracles import (
     brute_chi,
     brute_k_colorable,
     brute_max_clique,
+    reference_components,
     reference_degeneracy_order,
     reference_dsatur,
     reference_max_clique,
@@ -686,6 +687,32 @@ class TestComponents:
             ((sub, maps),) = _distinct_components(g, g.full_mask)
             assert sub.n == size and len(maps) == copies
             assert sorted(v for m in maps for v in m) == list(range(g.n))
+
+    def test_relabelled_rows_match_per_bit_loop(self):
+        # Cubes whose components interleave or lie far apart, unions with
+        # interleaved labels, and pools of random graphs that leave
+        # neighbours outside the pool: the same rows and copies, in the same
+        # order, as relabelling one bit at a time.
+        rng = random.Random(1212)
+        cases = [(g, g.full_mask) for g in (ud.hamming_graph(d, u)[0]
+                                            for d, u in ((8, 2), (8, 4), (8, 6), (10, 10)))]
+        for trial in range(40):
+            parts = [random_graph(rng, rng.randrange(1, 7), rng.choice([0.3, 0.7]))
+                     for _ in range(rng.randrange(2, 5))]
+            g = disjoint_union(parts, interleaved_labels(rng, [p.n for p in parts], trial % 2 == 0))
+            cases.append((g, g.full_mask))
+            g = random_graph(rng, rng.randrange(2, 90), rng.choice([0.02, 0.05, 0.1]))
+            cases.append((g, rng.getrandbits(g.n)))
+        split = 0
+        for g, pool in cases:
+            got = _distinct_components(g, pool)
+            if got and got[0][0] is g:  # one component, searched in g's own rows
+                assert len(reference_components(g, pool)) == 1
+                continue
+            split += 1
+            assert [(sub.adj, copies) for sub, copies in got] == reference_components(g, pool)
+            assert all(sub == ud.Graph(sub.n, sub.adj) for sub, _ in got)
+        assert split >= 60
 
     def test_many_small_components_one_group(self):
         # C(14,14) pairs every vertex with its complement: 8,192 copies of K2.
@@ -1694,6 +1721,64 @@ class TestKeptWorkers:
         assert len(forced_split[0]) == 1 and len(forced_split[1]) >= 4
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.usefixtures("nothing_left_behind")
+class TestSplitStarts:
+    """With _SPLIT_NODES as it is, a call's first split is at 2^10 nodes,
+    where it forks the call's workers, and each later search of the call,
+    whose budget holds them, splits at its first check, at 256 nodes."""
+
+    @pytest.mark.parametrize("call", ["walk", "chain"])
+    def test_first_split_at_split_nodes_later_ones_at_first_check(self, walk_setup,
+                                                                   monkeypatch, call):
+        events = []  # ("start",), ("split", count) and ("end", nodes, status), in order
+        real_split, real_search = solve._split, e8._max_clique_masks
+
+        def spy_split(search, items, best, best_mask, nodes):
+            if not search[4].hand_back:  # not an item handing its work back
+                events.append(("split", nodes))
+            return real_split(search, items, best, best_mask, nodes)
+
+        def spy_search(*args, **keywords):
+            events.append(("start",))
+            out = real_search(*args, **keywords)
+            events.append(("end", out[2], out[3]))
+            return out
+
+        monkeypatch.setattr(solve, "_split", spy_split)
+        monkeypatch.setattr(e8, "_max_clique_masks", spy_search)
+
+        def run():
+            events.clear()
+            log = []
+            if call == "walk":
+                out = walk(walk_setup, lambda *decision: log.append(decision))
+            else:
+                points = ud.shipped_certificate().points[:4]
+                out = ud.verify_certificate(ud.Certificate(
+                    "gosset-240", points, 16, ud.ratio_lower_bound(244, 16)))
+            return out, log, [e[1:] for e in events if e[0] == "end"]
+
+        monkeypatch.setattr(solve, "_usable_cpus", lambda: 1)
+        one = run()
+        assert not any(e[0] == "split" for e in events)
+        monkeypatch.setattr(solve, "_usable_cpus", lambda: 2)
+        assert run() == one
+        if call == "walk":
+            assert len(one[0][0]) == 1 and len(one[1]) == 40
+
+        splits = [e[1] for e in events if e[0] == "split"]
+        assert len(splits) >= 4 and splits == [1024] + [256] * (len(splits) - 1)
+        # No split in a search that ends within 256 nodes; the walk makes
+        # some, the chain's decisions each take thousands.
+        short = 0
+        for start in (i for i, e in enumerate(events) if e[0] == "start"):
+            end = next(i for i in range(start, len(events)) if events[i][0] == "end")
+            if events[end][1] < 256:
+                short += 1
+                assert all(e[0] != "split" for e in events[start:end])
+        assert call == "chain" or short >= 3
 
 
 @pytest.mark.usefixtures("nothing_left_behind")
