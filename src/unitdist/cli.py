@@ -62,7 +62,8 @@ def _check_output(path: str) -> None:
 
 def _add_threads_flag(p: argparse.ArgumentParser) -> None:
     # Kept so existing command lines keep working; it sets nothing. The clique
-    # search splits its work across the usable CPUs by itself.
+    # and k-coloring searches split their work across the usable CPUs by
+    # themselves.
     p.add_argument("--threads", type=int, choices=[1], default=1,
                    help="accepted for compatibility; only 1 is valid")
 
@@ -144,7 +145,9 @@ def cmd_chi(args) -> int:
     return EXIT_OK
 
 
-def _load_pool(args) -> e8.CandidatePool:
+def _load_pool(args) -> tuple[tuple[int, ...], ...]:
+    """The candidate points of augment: the pool file's, or the ball's
+    (e8.enumerate_ball), in lex order or shuffled by the seed."""
     if args.pool_file:
         # Same point rules as the verifier, so augment cannot write a
         # certificate that verify rejects.
@@ -168,14 +171,12 @@ def _load_pool(args) -> e8.CandidatePool:
                 raise formats.FormatError(f"pool point {x} listed twice", line=line_no)
             seen.add(x)
             points.append(x)
-        pool = e8.CandidatePool(tuple(points))
     else:
-        pool = e8.enumerate_ball()
-    if args.order == "lex":
-        return pool
-    shuffled = list(pool.points)
-    random.Random(args.seed).shuffle(shuffled)
-    return e8.CandidatePool(tuple(shuffled))
+        points = e8.enumerate_ball().points
+    if args.order == "random":
+        points = list(points)
+        random.Random(args.seed).shuffle(points)
+    return tuple(points)
 
 
 def cmd_augment(args) -> int:

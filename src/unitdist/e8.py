@@ -244,7 +244,8 @@ def augment_greedy(state: AugmentationState, pool, *,
                    max_accepted: int | None = None,
                    time_budget: float | None = None,
                    log=None) -> AugmentationState:
-    """Accept every pool point, in pool order, whose addition preserves alpha.
+    """Accept every point of the iterable pool, in its order, whose addition
+    preserves alpha.
 
     Each candidate is a decision, not a solve: a rejection stops at the first
     independent alpha-set among x's non-neighbors, which is exact because one
@@ -262,8 +263,6 @@ def augment_greedy(state: AugmentationState, pool, *,
     nodes_explored, which adds the walk's budget.spent to the state's count.
     """
     with _Budget(SolveOptions(time_budget=time_budget or None)) as budget:
-        points = pool.points if isinstance(pool, CandidatePool) else tuple(pool)
-
         cloud, graph, alpha = state.cloud, state.graph, state.alpha
         added = list(state.added)
         rejected = state.rejected_count
@@ -272,7 +271,7 @@ def augment_greedy(state: AugmentationState, pool, *,
         termination = "pool_exhausted"
         witnesses: list[int] = []
 
-        for x in points:
+        for x in pool:
             if x in present:
                 continue
             if max_candidates is not None and tested >= max_candidates:

@@ -1,6 +1,9 @@
-"""Orbital branching for solve.max_independent_set, and the permutation
-group code it needs. solve loads this module only for a solve that is given
-automorphisms, so the package import does not grow with it.
+"""The one independent-set search, behind solve.max_independent_set and
+solve.alpha_vertex_transitive, and the permutation group code it needs: a
+maximum independent set through a given independent set of pivots, by
+orbital branching under the group of checked automorphisms, none for a
+plain solve. solve loads this module on its first independent-set search,
+so the package import does not grow with it.
 
 The search (Ostrowski, Linderoth, Rossi and Smriglio, "Orbital branching",
 Math. Program. 2011) is a tree of nodes (S, pool, H): the vertices of S are
@@ -10,7 +13,9 @@ pointwise and maps the pool onto itself. Some maximum independent set
 through a node that meets an orbit O of H in the pool contains its smallest
 vertex v, since an element of H maps any vertex of O onto v; so a node
 branches into "add v", under the stabiliser H_v, and "delete all of O",
-under H, and no set is lost. Details are in _search.
+under H, and no set is lost. With no generators every orbit is one vertex,
+so the search is the clique kernel over each distinct component of the
+pool. Details are in _search.
 
 A permutation is a tuple p with p[v] the image of vertex v, as core's
 permutations are; products are taken right to left, (a * b)[v] = a[b[v]],
@@ -46,15 +51,21 @@ DRAWS = 32
 SEED = 0
 
 
-def independent_set(g: Graph, perms: list, budget, t0: float):
-    """solve.max_independent_set(g, ..., perms) for checked, non-empty perms:
-    a MisResult, or a MisIncomplete whose upper bound is the largest |S|
-    plus bound over the nodes left open, timed from t0. The witness is
-    re-checked on g."""
+def independent_set(g: Graph, perms: list, pivots: int, budget, t0: float):
+    """A maximum independent set of g that holds the independent set mask
+    pivots, under the group of the checked permutations perms (none for a
+    plain solve), timed from t0: a MisResult, or a MisIncomplete whose upper
+    bound is the largest |S| plus bound over the nodes left open. The root
+    takes S = pivots and the pool of the vertices that are neither pivots
+    nor adjacent to one, and the pivots are the first incumbent, so a search
+    stopped at once still returns them. The witness is re-checked on g."""
     spent_before = budget.spent
+    pool = g.full_mask ^ pivots
+    for v in iter_bits(pivots):
+        pool &= ~g.adj[v]
     bit = [0] + [1 << v for v in range(g.n)]
     search = (g, solve._complement_rows(g), bit, [0, *g.adj], budget, random.Random(SEED))
-    best, mask, upper, status = _nested(search, g.full_mask, perms)
+    best, mask, upper, status = _nested(search, pool, perms, pivots)
     witness = VertexSet(g.n, mask)
     if not solve.check_independent_set(g, witness):
         raise RuntimeError("independent set from the orbital search failed its re-check")
@@ -65,15 +76,16 @@ def independent_set(g: Graph, perms: list, budget, t0: float):
     return solve.MisIncomplete(best, upper, witness, nodes, elapsed)
 
 
-def _nested(search, pool: int, gens: list) -> tuple[int, int, int, str]:
-    """_search over pool, with the searches it nests run in turn.
+def _nested(search, pool: int, gens: list, taken: int) -> tuple[int, int, int, str]:
+    """_search over pool from the set taken, with the searches it nests run
+    in turn.
 
     _search is a generator that yields (component, generators) when it needs
     a component's own search and is sent that search's result. The open
     searches wait on a list, not on the interpreter's stack, so the depth of
     the nesting is not bounded by the recursion limit.
     """
-    searches = [_search(search, pool, gens)]
+    searches = [_search(search, pool, gens, taken)]
     result = None
     while True:
         try:
@@ -96,11 +108,12 @@ def _cover(pool: int, bit: list[int], anti: list[int]) -> int:
     return solve._colour_classes(pool, pool.bit_count(), bit, anti)[1]
 
 
-def _search(search, pool: int, gens: list):
-    """A maximum independent set inside mask pool; a generator run by
-    _nested, which it asks for each component search it needs. Returns
-    (best, witness mask, upper bound, status), status "complete" or
-    "budget".
+def _search(search, pool: int, gens: list, taken: int = 0):
+    """A maximum independent set made of the set mask taken, the root's S
+    and first incumbent, and vertices of mask pool, the vertices adjacent to
+    none of taken; a generator run by _nested, which it asks for each
+    component search it needs. Returns (best, witness mask, upper bound,
+    status), status "complete" or "budget".
 
     search is (g, complement rows, bit, anti, budget, random numbers) of the
     call. A node is (|S|, S, pool, generators, v); when v >= 0, the group of
@@ -118,11 +131,13 @@ def _search(search, pool: int, gens: list):
     orbital nodes count, one node each, added to budget.spent as they are
     made; the kernel counts its own. Every node that is not pruned checks
     the budget. A search that the budget stops returns as its upper bound
-    the largest |S| plus bound over the nodes left open.
+    the largest |S| plus bound over the nodes left open: a pool's greedy
+    clique cover, or the smaller of that and the kernel's root color count
+    for the pool the kernel stopped in.
     """
     g, crows, bit, anti, budget, rng = search
-    best = best_mask = 0
-    stack = [(0, 0, pool, gens, -1)]
+    best, best_mask = taken.bit_count(), taken
+    stack = [(best, taken, pool, gens, -1)]
 
     def stopped(upper: int):
         for size, _, rest, _, _ in stack:

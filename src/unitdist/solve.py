@@ -89,28 +89,26 @@ it, in a `with` block, so that no worker outlives the call.
 max_independent_set also takes a caller's _Budget in place of options, so
 that one budget can cover a chain of searches.
 
-Symmetry is used only once it is proven. max_independent_set takes vertex
-permutations as automorphisms and checks each against the adjacency rows
-with core.check_automorphisms (adj[p[v]] must be the image of adj[v];
-ValueError otherwise), the one place permutations are checked. Given any,
-it searches by orbital branching under the group they generate (module
-orbital, loaded only then): each node adds the smallest vertex of its
-group's largest orbit in one child, under random Schreier generators of
-that vertex's stabiliser, and deletes the whole orbit in the other, and a
-node whose group fixes its pool hands the pool to the clique kernel. Every
-permutation it builds is a product of checked ones, and its witness is
-re-checked. core.cloud_automorphisms derives such permutations from a
-point cloud, which the command line reads from the .coords sidecar that
-`build` writes.
-
-The public entry points split a disconnected graph, or the pool mask they
-search, into its connected components and solve each distinct component
+There is one independent-set search, module orbital (loaded by the first
+such search), behind max_independent_set and alpha_vertex_transitive. It
+splits its pool into connected components and searches each distinct one
 once: components whose rows, relabelled in sorted vertex order, are
 identical are copies of one another (identical rows are an isomorphism
-through the sorted vertex lists), and one solution serves every copy.
-Alphas add up, a graph is k-colorable when every component is, and chi is
-the maximum over the components. A witness stitched from a reused solution
-is re-checked on the whole graph.
+through the sorted vertex lists), one solution serves every copy, and
+alphas add up. Symmetry is used only once it is proven: max_independent_set
+takes vertex permutations as automorphisms and checks each against the
+adjacency rows with core.check_automorphisms (adj[p[v]] must be the image
+of adj[v]; ValueError otherwise), the one place permutations are checked.
+Under the group they generate the search branches on orbits (orbital
+branching), and a pool that the group fixes, every pool without them, goes
+to the clique kernel. Its witness is re-checked on the whole graph, and a
+spent budget bounds each part of the pool left open by the smaller of the
+kernel's color count and a greedy clique cover. core.cloud_automorphisms
+derives such permutations from a point cloud, which the command line reads
+from the .coords sidecar that `build` writes. The coloring searches split
+into distinct components the same way: a graph is k-colorable when every
+component is, chi is the maximum over the components, and a stitched
+coloring is re-checked on the whole graph.
 
 Tie-breaking is everywhere by lowest vertex index, so runs are
 bit-reproducible.
@@ -704,53 +702,6 @@ def _stitched_coloring(g: Graph, solved: list[tuple], k: int) -> tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 
-def _mis(g: Graph, pivots: int, budget: _Budget, t0: float) -> MisResult | MisIncomplete:
-    """A maximum independent set of g that contains the independent set
-    `pivots`, timed from t0: the pivots plus the most vertices of the pool,
-    the vertices that are neither pivots nor adjacent to one.
-
-    Each distinct component inside the pool is searched once, as a maximum
-    clique of its complement (in g's own rows when the pool is one
-    component), and its witness serves every copy; the budget's nodes and
-    deadline are spent across the components in turn. When they run out,
-    the lower bound is the size of the stitched witness, and the upper bound
-    adds to the number of pivots each searched component's certified bound
-    and each unsearched component's size, once per copy.
-    """
-    spent_before = budget.spent
-    bits = pivots
-    pool = g.full_mask ^ pivots
-    for v in iter_bits(pivots):
-        pool &= ~g.adj[v]
-    upper = pivots.bit_count()
-    complete = True
-    reused = False
-    for sub, copies in _distinct_components(g, pool):
-        sub_pool = pool if sub is g else sub.full_mask
-        if budget.exceeded():
-            complete = False
-            upper += sub_pool.bit_count() * len(copies)
-            continue
-        value, mask, nodes, status, sub_upper = _max_clique_masks(
-            _complement_rows(sub), sub_pool, budget=budget)
-        budget.spent += nodes
-        if status != "complete":
-            complete = False
-            value = min(sub_upper, sub_pool.bit_count())
-        upper += value * len(copies)
-        for copy in copies:
-            bits |= mask_from_indices(copy[i] for i in iter_bits(mask))
-        reused = reused or len(copies) > 1
-    witness = VertexSet(g.n, bits)
-    if reused and not check_independent_set(g, witness):
-        raise RuntimeError("stitched independent set failed its re-check")
-    elapsed = time.perf_counter() - t0
-    nodes = budget.spent - spent_before
-    if complete:
-        return MisResult(len(witness), witness, nodes, elapsed)
-    return MisIncomplete(len(witness), upper, witness, nodes, elapsed)
-
-
 def max_independent_set(g: Graph, options: SolveOptions | None = None, automorphisms=(), *,
                         budget: _Budget | None = None) -> MisResult | MisIncomplete:
     """Exact alpha(g) with witness, or the certified bracket of a spent budget.
@@ -758,12 +709,12 @@ def max_independent_set(g: Graph, options: SolveOptions | None = None, automorph
     automorphisms is a sequence of vertex permutations of g, p[v] being the
     image of v, as from core.cloud_automorphisms; core.check_automorphisms
     checks each against the adjacency rows first, and one that is not an
-    automorphism raises ValueError. With none, each distinct component of g
-    is searched once by the clique kernel (_mis); with some, the search is
-    orbital branching under the group they generate (module orbital). A caller
-    that spends one budget over several searches passes it as `budget`
-    instead of options, and closes it when they are done. wall_time covers
-    the whole call.
+    automorphism raises ValueError. The search is orbital.independent_set,
+    orbital branching under the group they generate, which with none is the
+    clique kernel over each distinct component of g. A caller that spends
+    one budget over several searches passes it as `budget` instead of
+    options, and closes it when they are done. wall_time covers the whole
+    call.
     """
     t0 = time.perf_counter()
     check_automorphisms(g, automorphisms)
@@ -771,10 +722,8 @@ def max_independent_set(g: Graph, options: SolveOptions | None = None, automorph
     if owned:
         budget = _Budget(options or SolveOptions())
     try:
-        if not automorphisms:
-            return _mis(g, 0, budget, t0)
-        from . import orbital  # loaded only by a solve given automorphisms
-        return orbital.independent_set(g, list(automorphisms), budget, t0)
+        from . import orbital  # loaded by the first independent-set search
+        return orbital.independent_set(g, list(automorphisms), 0, budget, t0)
     finally:
         if owned:
             budget.close()
@@ -785,17 +734,20 @@ def alpha_vertex_transitive(g: Graph, pivot: int,
     """alpha(g) for vertex-transitive g, via one level of pivot reduction.
 
     Valid only when the caller knows g is vertex-transitive: some maximum
-    independent set then contains the pivot, so alpha(g) equals one plus the
-    independence number of the subgraph induced on the pivot's non-neighbors,
-    searched as a pool mask of g. It is not exported, and only the
+    independent set then contains the pivot, so alpha(g) is the largest
+    independent set through it, which orbital.independent_set searches with
+    the pivot as its set S and, without generators, the pivot's
+    non-neighbours as its pool. It is not exported, and only the
     benchmark's alpha_exact workload (perfbench) calls it; it goes with
     ROADMAP item 3's benchmark change, which moves that workload to
     max_independent_set with automorphisms the solver checks.
     """
     if not 0 <= pivot < g.n:
         raise ValueError(f"pivot {pivot} out of range")
+    t0 = time.perf_counter()
+    from . import orbital
     with _Budget(options or SolveOptions()) as budget:
-        return _mis(g, 1 << pivot, budget, time.perf_counter())
+        return orbital.independent_set(g, [], 1 << pivot, budget, t0)
 
 
 def clique_lower_bound(g: Graph) -> int:

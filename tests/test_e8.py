@@ -327,7 +327,7 @@ class TestAugmentGreedy:
         # The first 300 candidates of the ball, decided once with the walk's
         # witness cache and once each by its own search.
         state = g0_state
-        final = ud.augment_greedy(state, ud.enumerate_ball(), max_candidates=300)
+        final = ud.augment_greedy(state, ud.enumerate_ball().points, max_candidates=300)
         assert final.candidates_tested == 300 and len(final.added) == 2
         assert final.nodes_explored - state.nodes_explored == 72429
         present = set(state.cloud.points)
@@ -365,7 +365,7 @@ class TestAugmentGreedy:
     def test_full_ball_prefix_on_g0(self, g0_pair):
         graph, cloud = g0_pair
         state = ud.initial_state(graph, cloud)
-        pool = ud.enumerate_ball()
+        pool = ud.enumerate_ball().points
         final = ud.augment_greedy(state, pool, max_candidates=3)
         assert final.candidates_tested == 3
         assert len(final.added) + final.rejected_count == 3

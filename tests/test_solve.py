@@ -196,7 +196,7 @@ class TestMaxIndependentSet:
     def test_budget_spent_across_components(self, slice1045):
         # C(10,4,5) (alpha 12) then two 5-cycles (alpha 2 each): the budget
         # runs out in the first component, so the cycles are never searched
-        # and count with their size.
+        # and each counts with its greedy clique cover, 3, not its size.
         big, _ = slice1045
         cycle = ud.Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
         g = disjoint_union([big, cycle, cycle],
@@ -206,7 +206,7 @@ class TestMaxIndependentSet:
         alone = ud.max_independent_set(big, ud.SolveOptions(node_budget=budget))
         assert isinstance(res, ud.MisIncomplete) and isinstance(alone, ud.MisIncomplete)
         assert res.lower_bound <= 16 <= res.upper_bound
-        assert res.upper_bound == alone.upper_bound + 10
+        assert res.upper_bound == alone.upper_bound + 6
         assert res.witness.bits == alone.witness.bits
         assert len(res.witness) == res.lower_bound
         assert ud.check_independent_set(g, res.witness)
@@ -276,6 +276,54 @@ class TestAlphaVertexTransitive:
                     edges.add(tuple(sorted((v, (v + off) % n))))
             g = ud.Graph.from_edges(n, sorted(edges))
             assert solve.alpha_vertex_transitive(g, 0).alpha == ud.max_independent_set(g).alpha
+
+
+class TestOneBracketRule:
+    def test_bracket_holds_wherever_the_search_stops(self):
+        # Plain and pivot solves of small random graphs and of disjoint
+        # unions of them, one part repeated so that its solution is reused,
+        # stopped before the root (the 1e-9 s deadline, unless the pool is
+        # empty), between components (node limits 0 and 1, checked before
+        # each component's search) or not at all (256 nodes, which none of
+        # these searches reaches, and no limit). On any graph the pivot solve
+        # returns the largest independent set through the pivot: the pivot
+        # plus alpha of its non-neighbours. The upper end is never above the
+        # pivots plus the pool, the bound of a pool left unsearched.
+        rng = random.Random(25)
+        graphs = [random_graph(rng, rng.randrange(1, 15), rng.choice([0.1, 0.3, 0.6]))
+                  for _ in range(24)]
+        for _ in range(24):
+            parts = [random_graph(rng, rng.randrange(1, 6), rng.choice([0.3, 0.7]))
+                     for _ in range(rng.randrange(1, 3))]
+            parts.append(parts[0])
+            labels = interleaved_labels(rng, [p.n for p in parts], rng.random() < 0.5)
+            graphs.append(disjoint_union(parts, labels))
+        options = [SolveOptions(node_budget=b) for b in (0, 1, 256, None)]
+        options.append(SolveOptions(time_budget=1e-9))
+        stopped = [0] * len(options)
+        for g in graphs:
+            for pivot in (None, rng.randrange(g.n)):
+                pivots = 0 if pivot is None else 1 << pivot
+                pool = g.full_mask ^ pivots
+                for v in iter_bits(pivots):
+                    pool &= ~g.adj[v]
+                true = pivots.bit_count() + brute_alpha(
+                    ud.induced_subgraph(g, ud.VertexSet(g.n, pool))[0])
+                for i, opts in enumerate(options):
+                    if pivot is None:
+                        res = ud.max_independent_set(g, opts)
+                    else:
+                        res = solve.alpha_vertex_transitive(g, pivot, opts)
+                    if isinstance(res, ud.MisResult):
+                        lower = upper = res.alpha
+                    else:
+                        lower, upper = res.lower_bound, res.upper_bound
+                        stopped[i] += 1
+                    assert lower <= true <= upper
+                    assert lower == len(res.witness) and ud.check_independent_set(g, res.witness)
+                    assert res.witness.bits & pivots == pivots
+                    assert upper <= pivots.bit_count() + pool.bit_count()
+        assert min(stopped[0], stopped[1]) >= 10 and stopped[4] >= len(graphs)
 
 
 def rotation(n: int, step: int = 1) -> tuple[int, ...]:
@@ -732,22 +780,26 @@ class TestComponents:
     def test_one_component_pool_searched_in_place(self, h52):
         # The pivot's 5 non-neighbours in H(5,2) are one component: no
         # relabelled copy, and a search stopped before it starts bounds alpha
-        # by the pool's size, not the graph's.
+        # by the pool, not the graph: the pivot plus the pool's greedy
+        # clique cover, which is one class, since the five form a clique.
         g, _ = h52
         pool = g.full_mask ^ g.adj[0] ^ 1
         assert _distinct_components(g, pool) == [(g, [tuple(range(g.n))])]
+        assert all(pool & ~g.adj[v] == 1 << v for v in iter_bits(pool))
         res = solve.alpha_vertex_transitive(g, 0, ud.SolveOptions(time_budget=1e-9))
         assert isinstance(res, ud.MisIncomplete)
-        assert (res.lower_bound, res.upper_bound) == (1, 1 + pool.bit_count())
+        assert (res.lower_bound, res.upper_bound) == (1, 2)
+        assert res.witness.bits == 1
 
     def test_stitched_wrong_solutions_fail_their_re_checks(self, monkeypatch):
         # Two copies of a triangle share one component solution, so a wrong
-        # one is wrong on both, and the re-check on the whole graph raises.
+        # one is wrong on both, and the re-check of the final witness on the
+        # whole graph raises.
         tri = complete_graph(3)
         g = disjoint_union([tri, tri], [[0, 1, 2], [3, 4, 5]])
         monkeypatch.setattr(solve, "_max_clique_masks",
-                            lambda adj, pool, budget: (2, 0b011, 1, "complete", 2))
-        with pytest.raises(RuntimeError, match="stitched independent set"):
+                            lambda adj, pool, initial_best, budget: (2, 0b011, 1, "complete", 2))
+        with pytest.raises(RuntimeError, match="independent set .* failed its re-check"):
             ud.max_independent_set(g)
         monkeypatch.setattr(solve, "_k_color",
                             lambda sub, k, budget: ud.KColorOutcome("colorable", (1, 1, 2), 1))
@@ -1539,7 +1591,9 @@ class TestHandBack:
 def test_budgeted_h11_4_pivot_split_gives_the_one_cpu_result(monkeypatch):
     # The benchmark's H(11,4) search stops at 150,016 nodes inside its
     # first root branch; split on two CPUs at 1,024 nodes, it still returns
-    # the one-CPU bracket, witness and node count. The item in which the
+    # the one-CPU bracket, witness and node count. The bracket's upper end
+    # is the pivot plus the pool's greedy clique cover, 101, which is below
+    # the kernel's 114 colors at the root. The item in which the
     # stop falls runs no more than 256 nodes past it: its process's start
     # bound counts the nodes of the items before it, running ones too. That
     # item, 624, hands no work back: by the time it is the last one running,
@@ -1564,7 +1618,7 @@ def test_budgeted_h11_4_pivot_split_gives_the_one_cpu_result(monkeypatch):
     assert not splits
     assert on(2) == one
     assert len(splits) == 1
-    assert (one[0], one[1], one[3]) == (32, 115, 150_016)
+    assert (one[0], one[1], one[3]) == (32, 102, 150_016)
     assert ud.check_independent_set(g, one[2])
     stop, start, size, out = splits[0]
     for i in range(size):
