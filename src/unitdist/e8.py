@@ -35,7 +35,6 @@ from .solve import (
     MisResult,
     SolveOptions,
     _Budget,
-    _complement_rows,
     _max_clique_masks,
     check_independent_set,
     max_independent_set,
@@ -208,9 +207,8 @@ def _alpha_after_adding(graph: Graph, cloud: PointCloud, alpha: int, x: Vec,
         if nbr == 0:
             return alpha + 1, 0, nbr
         _, mask, nodes, status, _ = _max_clique_masks(
-            _complement_rows(graph), graph.full_mask & ~nbr, initial_best=alpha - 1,
-            stop_at=alpha, budget=budget)
-        budget.spent += nodes
+            graph.adj, graph.full_mask & ~nbr, initial_best=alpha - 1, stop_at=alpha,
+            budget=budget)
         if status == "budget":
             raise TimeoutError(f"solver budget exhausted while testing point {x}")
         if status == "complete":

@@ -64,7 +64,7 @@ def independent_set(g: Graph, perms: list, pivots: int, budget, t0: float):
     for v in iter_bits(pivots):
         pool &= ~g.adj[v]
     bit = [0] + [1 << v for v in range(g.n)]
-    search = (g, solve._complement_rows(g), bit, [0, *g.adj], budget, random.Random(SEED))
+    search = (g, bit, [0, *g.adj], budget, random.Random(SEED))
     best, mask, upper, status = _nested(search, pool, perms, pivots)
     witness = VertexSet(g.n, mask)
     if not solve.check_independent_set(g, witness):
@@ -115,10 +115,10 @@ def _search(search, pool: int, gens: list, taken: int = 0):
     component search it needs. Returns (best, witness mask, upper bound,
     status), status "complete" or "budget".
 
-    search is (g, complement rows, bit, anti, budget, random numbers) of the
-    call. A node is (|S|, S, pool, generators, v); when v >= 0, the group of
-    the node is the stabiliser of v in that of the generators given, drawn
-    when the node is reached. A node is pruned when |S| plus a greedy clique
+    search is (g, bit, anti, budget, random numbers) of the call, bit and
+    anti _cover's tables. A node is (|S|, S, pool, generators, v); when
+    v >= 0, the group of the node is the stabiliser of v in that of the
+    generators given, drawn when the node is reached. A node is pruned when |S| plus a greedy clique
     cover of its pool is no more than the incumbent. A pool of more than one
     connected component is the sum of its distinct components
     (solve._distinct_components), each found by a search of its own, under
@@ -129,13 +129,13 @@ def _search(search, pool: int, gens: list, taken: int = 0):
     smallest vertex v; the child that adds v, under random Schreier
     generators of H_v, is searched before the one that deletes O. Only these
     orbital nodes count, one node each, added to budget.spent as they are
-    made; the kernel counts its own. Every node that is not pruned checks
+    made; the kernel adds its own. Every node that is not pruned checks
     the budget. A search that the budget stops returns as its upper bound
     the largest |S| plus bound over the nodes left open: a pool's greedy
     clique cover, or the smaller of that and the kernel's root color count
     for the pool the kernel stopped in.
     """
-    g, crows, bit, anti, budget, rng = search
+    g, bit, anti, budget, rng = search
     best, best_mask = taken.bit_count(), taken
     stack = [(best, taken, pool, gens, -1)]
 
@@ -179,9 +179,8 @@ def _search(search, pool: int, gens: list, taken: int = 0):
             continue
         largest = max(pool_orbits(gens, pool), key=int.bit_count)
         if largest & (largest - 1) == 0:  # H fixes every vertex of the pool
-            value, found, nodes, status, kernel_upper = solve._max_clique_masks(
-                crows, pool, initial_best=max(best - size, 0), budget=budget)
-            budget.spent += nodes
+            value, found, _, status, kernel_upper = solve._max_clique_masks(
+                g.adj, pool, initial_best=max(best - size, 0), budget=budget)
             if size + value > best:
                 best, best_mask = size + value, mask | found
             if status != "complete":

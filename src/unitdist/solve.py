@@ -3,17 +3,18 @@
 A maximum independent set is computed as a maximum clique of the complement
 graph, by branch and bound with greedy-coloring upper bounds at every node
 (candidate sets and color classes are Python integers, so the inner loops are
-bit-parallel). The branching vertex is always the one in the highest color
-class. Color classes at or below the cut, incumbent size minus clique size,
-are never branched on, so they are only peeled off the candidate pool, not
-recorded. The clique search labels its pool in degeneracy order, so bit i
-is the vertex at position i of the smallest-last order, and colors highest
-bit first: the last-removed vertices, the core, come first. That is
-smallest-last first-fit, which uses at most degeneracy + 1 colors (Matula
-and Beck, J. ACM 1983), and the highest bit is what one bit_length() finds
-and indexes tables by. The clique search, like the k-colorability search,
-keeps an explicit stack, so neither is bounded by the interpreter's
-recursion limit and neither changes it.
+bit-parallel). The kernel takes the graph's own rows and builds complement
+rows for its pool only, so no caller builds a complement. The branching vertex
+is always the one in the highest color class. Color classes at or below the
+cut, incumbent size minus clique size, are never branched on, so they are only
+peeled off the candidate pool, not recorded. The clique search labels its pool
+in degeneracy order, so bit i is the vertex at position i of the smallest-last
+order, and colors highest bit first: the last-removed vertices, the core, come
+first. That is smallest-last first-fit, which uses at most degeneracy + 1
+colors (Matula and Beck, J. ACM 1983), and the highest bit is what one
+bit_length() finds and indexes tables by. The clique search, like the
+k-colorability search, keeps an explicit stack, so neither is bounded by the
+interpreter's recursion limit and neither changes it.
 
 Once a clique search or a k-colorability search has spent _SPLIT_NODES
 nodes, wherever its depth-first search stands, it splits its work across one
@@ -81,11 +82,11 @@ vertices one by one.
 
 Each public entry point builds one _Budget from its SolveOptions and hands
 that object to every search it makes; no search builds a budget of its own.
-The function that calls a search adds the nodes the search reports to
-budget.spent straight after the call, so each node is counted once and every
-search of one call draws on one node limit and one deadline. The budget
-also holds the call's split workers, and the function that built it closes
-it, in a `with` block, so that no worker outlives the call.
+Each search adds its own nodes to budget.spent, so no caller keeps a tally,
+each node is counted once and every search of one call draws on one node
+limit and one deadline. The budget also holds the call's split workers, and
+the function that built it closes it, in a `with` block, so that no worker
+outlives the call.
 max_independent_set also takes a caller's _Budget in place of options, so
 that one budget can cover a chain of searches.
 
@@ -262,9 +263,9 @@ class _Budget:
     Each public entry point, and each augmentation walk, builds one from its
     SolveOptions and passes it to every search it makes. A search counts its
     own nodes and consults the budget every 256 nodes, with exceeded(nodes),
-    so the node count may overshoot the limit by up to 256. Its caller adds
-    the nodes it reports to `spent` straight after the call; `spent` is the
-    only node tally, and every search of one call shares the node limit.
+    so the node count may overshoot the limit by up to 256. The search's
+    entry adds its nodes to `spent`, the only node tally, and every search
+    of one call shares the node limit.
 
     The first search of the call that splits forks the call's workers into
     `workers` (split._Workers), and every later split of the call uses
@@ -359,24 +360,28 @@ def _relabel(adj, pool: int, order: list[int]) -> list[int]:
 
 def _max_clique_masks(adj, pool: int, *, initial_best: int = 0, stop_at: int | None = None,
                       budget: _Budget) -> tuple[int, int, int, str, int]:
-    """Maximum clique over bit rows `adj`, among the vertices of mask `pool`.
+    """Maximum independent set of the graph with bit rows `adj` among the
+    vertices of mask `pool`: a maximum clique of its complement there.
 
-    Only the pool's vertices are ordered, relabelled and searched, and the
-    returned mask is in the labels of `adj`.
+    The complement rows are built for the pool's vertices only,
+    pool & ~adj[v] minus v itself, in a list as long as adj; only the pool's
+    vertices are ordered, relabelled and searched, and the returned mask is
+    in the labels of `adj`. The search's nodes are added to budget.spent.
 
     initial_best acts as a virtual incumbent: only cliques strictly larger are
     searched for, and the returned value equals initial_best when none exists.
     Returns (value, mask, nodes, status, coloring_upper_bound) with status one
     of "complete", "target", "budget"; the upper bound is the number of greedy
-    color classes at the root.
+    color classes at the root, so at most the pool's size.
 
     The pool is labelled in degeneracy order: the vertex that degeneracy
     ordering puts at position i gets bit i. Each node colors its candidate
     pool greedily, highest bit first, so the last-removed vertices are
-    colored first, and the root takes at most the pool's degeneracy + 1
-    colors (smallest-last first-fit). Each colored vertex costs one
-    bit_length over two tables built once per call: bit[v] = 1 << (v - 1)
-    and anti[v], the non-neighbor row of vertex v - 1. A class whose color is
+    colored first, and the root takes at most the complement's degeneracy
+    in the pool + 1 colors (smallest-last first-fit). Each colored vertex
+    costs one bit_length over two tables built once per call:
+    bit[v] = 1 << (v - 1) and anti[v], the non-neighbor row of vertex v - 1
+    in the complement, its row of adj inside the pool. A class whose color is
     at or below the cut best - |clique| can never be branched on, because
     best only grows, so those classes are peeled without being recorded; the
     classes above the cut are kept as masks and branched highest color
@@ -393,13 +398,17 @@ def _max_clique_masks(adj, pool: int, *, initial_best: int = 0, stop_at: int | N
     """
     if not pool:
         return (0, 0, 0, "complete", 0)
-    order = _degeneracy_order(adj, pool)
-    search = _search_tuple(_relabel(adj, pool, order), stop_at, budget)
+    rows = [0] * len(adj)
+    for v in iter_bits(pool):
+        rows[v] = pool & ~adj[v] ^ (1 << v)
+    order = _degeneracy_order(rows, pool)
+    search = _search_tuple(_relabel(rows, pool, order), stop_at, budget)
     full = (1 << len(order)) - 1
     classes, upper = _colour_classes(full, initial_best, search[1], search[2])
     root = (0, 0, full, classes, classes.pop() if classes else 0, upper)
     best, best_mask, nodes, status = _search(search, root, initial_best, 0, 1,
                                              split=_split_range(budget))
+    budget.spent += nodes
     return (best, mask_from_indices(order[i] for i in iter_bits(best_mask)), nodes, status, upper)
 
 
@@ -646,11 +655,6 @@ def _is_clique(nbr: list[int], mask: int, size: int) -> bool:
         (mask ^ (1 << v)) & ~nbr[v] == 0 for v in iter_bits(mask))
 
 
-def _complement_rows(g: Graph) -> list[int]:
-    full = g.full_mask
-    return [full ^ g.adj[v] ^ (1 << v) for v in range(g.n)]
-
-
 # ---------------------------------------------------------------------------
 # Connected components
 # ---------------------------------------------------------------------------
@@ -869,7 +873,6 @@ def k_colorable(g: Graph, k: int, options: SolveOptions | None = None) -> KColor
                 outcome = KColorOutcome("uncolorable", None, 0)
             else:
                 outcome = _k_color(sub, k, budget)
-                budget.spent += outcome.nodes_explored
             if outcome.status != "colorable":
                 return KColorOutcome(outcome.status, None, budget.spent)
             solved.append((copies, outcome.coloring))
@@ -891,7 +894,7 @@ def _k_color(g: Graph, k: int, budget: _Budget) -> KColorOutcome:
     The root, one node, selects the first vertex, whose only color is the
     first; the rest is one depth-first search below that choice,
     _color_search, which splits its work across the budget's workers as the
-    clique search does (_split).
+    clique search does (_split). Its nodes are added to budget.spent.
     """
     search = _color_tuple(g.adj, k, budget)
     bucket = [0] * k
@@ -899,6 +902,7 @@ def _k_color(g: Graph, k: int, budget: _Budget) -> KColorOutcome:
     v, _ = _dsatur_select(bucket, search[1])
     _, coloring, nodes, status = _color_search(search, ((v, 0),), 0, None, 1,
                                                split=_split_range(budget))
+    budget.spent += nodes
     if status == "target":
         return KColorOutcome("colorable", coloring, nodes)
     return KColorOutcome("uncolorable" if status == "complete" else "unknown", None, nodes)
@@ -1046,19 +1050,14 @@ def _chi_connected(g: Graph, budget: _Budget) -> tuple[int, int, tuple[int, ...]
     if lower == upper:  # a clique as large as the coloring closes chi
         return (upper, upper, upper_coloring)
 
-    alpha, _, nodes, status, alpha_upper = _max_clique_masks(
-        _complement_rows(g), g.full_mask, budget=budget)
-    budget.spent += nodes
-    if status != "complete":
-        alpha = min(alpha_upper, g.n)
-    lower = max(lower, ratio_lower_bound(g.n, alpha))
+    alpha, _, _, status, alpha_upper = _max_clique_masks(g.adj, g.full_mask, budget=budget)
+    lower = max(lower, ratio_lower_bound(g.n, alpha if status == "complete" else alpha_upper))
 
     # One try from the top before the bottom-up close: a coloring with one
     # color fewer than DSATUR's lowers the upper end even when the budget
     # then runs out below it, and a refutation closes chi at once.
     if upper - 1 > lower:
         outcome = _k_color(g, upper - 1, budget)
-        budget.spent += outcome.nodes_explored
         if outcome.status == "uncolorable":
             return (upper, upper, upper_coloring)
         if outcome.status == "colorable":
@@ -1067,7 +1066,6 @@ def _chi_connected(g: Graph, budget: _Budget) -> tuple[int, int, tuple[int, ...]
     # _k_color needs 2 <= k < upper: g has an edge, so its clique bound is 2.
     for k in range(lower, upper):
         outcome = _k_color(g, k, budget)
-        budget.spent += outcome.nodes_explored
         if outcome.status == "colorable":
             return (k, k, outcome.coloring)
         if outcome.status == "unknown":

@@ -13,6 +13,9 @@ replaced. reference_relabel, reference_check_automorphisms and
 reference_components keep the per-bit loops over each row that
 core.permute_rows replaced. reference_graph_from_points keeps the pairwise
 distance loop that core.graph_from_points' packed rows replaced.
+complement_rows builds the whole complement, which the package's clique
+kernel builds for its pool only, so that the kernel, given a complement,
+searches the cliques of the rows it was given.
 """
 import sys
 
@@ -55,6 +58,12 @@ def brute_max_clique(g: ud.Graph) -> int:
         if ok:
             best = size
     return best
+
+
+def complement_rows(adj) -> list[int]:
+    """The rows of the complement of the graph with rows adj, no loops."""
+    full = (1 << len(adj)) - 1
+    return [full ^ row ^ (1 << v) for v, row in enumerate(adj)]
 
 
 def brute_k_colorable(g: ud.Graph, k: int) -> bool:

@@ -344,8 +344,12 @@ class TestAugmentGreedy:
         # (9, 9, 9) has no neighbour and is rejected without search; the
         # search for (2, 0, 0) reports the deadline, so the walk stops there.
         state = tiny_state([(0, 0, 0)], 4)
-        monkeypatch.setattr(e8, "_max_clique_masks",
-                            lambda *args, **kwargs: (0, 0, 256, "budget", 1))
+
+        def stopped(*args, budget, **kwargs):
+            budget.spent += 256
+            return (0, 0, 256, "budget", 1)
+
+        monkeypatch.setattr(e8, "_max_clique_masks", stopped)
         final = ud.augment_greedy(state, [(9, 9, 9), (2, 0, 0), (0, 2, 0)],
                                   time_budget=3600)
         assert final.termination == "budget_time"

@@ -3,9 +3,12 @@ import marshal
 import os
 import random
 import signal
+import subprocess
 import sys
 import threading
 import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +18,6 @@ from unitdist.core import iter_bits
 from unitdist.solve import (
     SolveOptions,
     _Budget,
-    _complement_rows,
     _degeneracy_order,
     _distinct_components,
     _max_clique_masks,
@@ -28,6 +30,7 @@ from oracles import (
     brute_chi,
     brute_k_colorable,
     brute_max_clique,
+    complement_rows,
     reference_components,
     reference_degeneracy_order,
     reference_dsatur,
@@ -41,10 +44,11 @@ def complete_graph(n: int) -> ud.Graph:
 
 
 def clique_search(adj, pool: int, options: SolveOptions = SolveOptions(), **keywords):
-    """_max_clique_masks under a budget of its own, whose workers, if the
+    """A maximum clique of the rows adj inside pool: _max_clique_masks on
+    their complement, under a budget of its own, whose workers, if the
     search splits, are ended before this returns."""
     with _Budget(options) as budget:
-        return _max_clique_masks(adj, pool, budget=budget, **keywords)
+        return _max_clique_masks(complement_rows(adj), pool, budget=budget, **keywords)
 
 
 def disjoint_union(graphs, labels) -> ud.Graph:
@@ -178,6 +182,21 @@ class TestMaxIndependentSet:
         res = ud.max_independent_set(ud.Graph.from_edges(n, [(0, v) for v in range(1, n)]))
         assert isinstance(res, ud.MisResult) and res.alpha == n - 1
         assert splits == [(1_010_178, 0)]
+
+    def test_many_small_components_build_no_whole_complement(self):
+        # C(12,12) is 2,048 copies of K2, one distinct component searched
+        # once. The clique kernel builds complement rows for its pool only,
+        # not for all 4,096 vertices. What the solve still allocates for the
+        # whole graph is the orbital search's bit table, which _cover shares.
+        g, _ = ud.hamming_graph(12, 12)
+        tracemalloc.start()
+        try:
+            res = ud.max_independent_set(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(res, ud.MisResult) and res.alpha == 2048
+        assert peak < 3.5 * 2**20
 
     def test_c86_solved_one_half_at_a_time(self):
         g, _ = ud.hamming_graph(8, 6)
@@ -525,8 +544,8 @@ class TestDegeneracyOrder:
         rng = random.Random(909)
         g0, _ = g0_pair
         h114, _ = ud.half_cube(11, 4)
-        h_rows = _complement_rows(h114)
-        cases = [(_complement_rows(g0), g0.full_mask),
+        h_rows = complement_rows(h114.adj)
+        cases = [(complement_rows(g0.adj), g0.full_mask),
                  (h_rows, h114.full_mask ^ h114.adj[0] ^ 1)]
         for _ in range(200):
             g = random_graph(rng, rng.randrange(0, 60), rng.choice([0.1, 0.4, 0.8]))
@@ -937,7 +956,7 @@ class TestCliqueKernelAgainstRecursiveReference:
         cases = [(list(g.adj), g.full_mask, 0, None) for g in graphs]
         cases.append((list(graphs[2].adj),
                       sum(1 << v for v in range(700) if rng.random() < 0.6), 11, 13))
-        cases.append((_complement_rows(h104), h104.full_mask ^ h104.adj[0] ^ 1, 0, None))
+        cases.append((complement_rows(h104.adj), h104.full_mask ^ h104.adj[0] ^ 1, 0, None))
         for adj, pool, initial_best, stop_at in cases:
             n = len(adj)
             sub, index_map = ud.induced_subgraph(ud.Graph(n, tuple(adj)), ud.VertexSet(n, pool))
@@ -1199,7 +1218,7 @@ class TestSplitRobustness:
         adj, pool, _ = cases[-1]
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="after the fork"):
-            _max_clique_masks(adj, pool, budget=_Budget(SolveOptions()))
+            _max_clique_masks(complement_rows(adj), pool, budget=_Budget(SolveOptions()))
         assert time.monotonic() - start < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -1833,6 +1852,72 @@ class TestSplitStarts:
                 short += 1
                 assert all(e[0] != "split" for e in events[start:end])
         assert call == "chain" or short >= 3
+
+
+@pytest.mark.usefixtures("nothing_left_behind")
+class TestSearchesChargeTheirNodes:
+    """Each search entry, the clique kernel and _k_color, adds to
+    budget.spent exactly the nodes it reports, so no caller keeps a tally:
+    on one CPU and split over two, whole and stopped by a node limit."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("limit", [None, 3000])
+    def test_spent_rises_by_the_reported_nodes(self, monkeypatch, cpus, limit):
+        monkeypatch.setattr(solve, "_usable_cpus", lambda: cpus)
+        splits = []
+        real = split.split_items
+
+        def counted(*args):
+            splits.append(args[0][5])
+            return real(*args)
+
+        monkeypatch.setattr(split, "split_items", counted)
+        g = random_graph(random.Random(1313), 120, 0.3)  # 3,582 nodes whole
+        queen = queen_graph(6)  # 7-colourable in 3,637 nodes
+
+        def clique(budget):
+            return _max_clique_masks(g.adj, g.full_mask, budget=budget)[2:4]
+
+        def coloring(budget):
+            outcome = solve._k_color(queen, 7, budget)
+            return outcome.nodes_explored, outcome.status
+
+        # (search, its status whole, its status under the limit)
+        for search, whole, stopped in ((clique, "complete", "budget"),
+                                       (coloring, "colorable", "unknown")):
+            # A search that is not the call's first starts from spent > 0.
+            options = SolveOptions(node_budget=None if limit is None else 100 + limit)
+            with _Budget(options) as budget:
+                budget.spent = 100
+                nodes, status = search(budget)
+            assert budget.spent == 100 + nodes > 100
+            assert status == (whole if limit is None else stopped)
+        assert sorted(set(splits)) == ([] if cpus == 1 else ["clique", "coloring"])
+
+
+class TestLazyImports:
+    def test_modules_loaded_only_by_their_first_use(self):
+        # In a fresh interpreter: the package import loads neither the
+        # orbital search nor the split; a chromatic number that never splits
+        # loads neither; the first independent-set search loads orbital.
+        script = "\n".join([
+            "import sys",
+            "import unitdist as ud",
+            "def loaded():",
+            "    print(sorted(m for m in ('unitdist.orbital', 'unitdist.split')"
+            " if m in sys.modules))",
+            "loaded()",
+            "ud.chromatic_number(ud.hamming_graph(4, 2)[0])",
+            "loaded()",
+            "ud.max_independent_set(ud.half_cube(5, 2)[0])",
+            "loaded()",
+        ])
+        src = str(Path(ud.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "[]", "['unitdist.orbital']"]
 
 
 @pytest.mark.usefixtures("nothing_left_behind")
